@@ -320,16 +320,9 @@ void run_scenarios(std::vector<Row>& rows) {
 
     maqs::testing::EchoStub stub(world.client, ref);
     stub.set_mediator(mediator);
-    rows.push_back(measure("woven_compress_encrypt", "add",
-                           [&] { stub.add(1, 2); }));
-    rows.push_back(measure("woven_compress_encrypt", "blob4k",
-                           [&] { stub.blob(blob_data); }));
-
-    // Same stub, explicit label: the woven path runs the streaming
-    // TransformChain (fused mediator chain, arena-backed stages) — there
-    // is no copy-per-stage path left. The woven_compress_encrypt rows
-    // above keep the historical name for cross-PR comparability; these
-    // are the rows the alloc-regression gate pins.
+    // The woven path runs the streaming TransformChain (fused mediator
+    // chain, arena-backed stages); these are the rows the
+    // alloc-regression gate pins.
     rows.push_back(
         measure("woven_streaming", "add", [&] { stub.add(1, 2); }));
     rows.push_back(

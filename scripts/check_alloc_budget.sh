@@ -27,7 +27,6 @@ BUDGETS = {
     ("plain", "blob4k"): 8.0,
     ("plain_replicated", "add"): 8.0,
     ("woven_streaming", "add"): 12.0,
-    ("woven_compress_encrypt", "add"): 12.0,
     # Steady state after a renegotiated lattice step (lz77 -> rle on the
     # fused channel): rebinding under the bumped channel version must not
     # add per-request heap traffic over the first binding.

@@ -26,3 +26,7 @@ done 2>&1 | tee bench_output.txt
 
 # Chaos suite across the CI seed matrix (41 42 1337).
 ./scripts/chaos.sh build
+
+# Wall-clock benchmark smoke: every workload for one second, layer probes
+# off and on; fails unless every call was correct (no speed gate).
+./scripts/perfbench_smoke.sh

@@ -164,55 +164,24 @@ void CompressionTransform::forward(core::ChainBuf& buf,
   const std::size_t n = buf.size();
   fwd_in_ += n;
   const std::size_t reserve = buf.reserve_front();
-
-  auto ship_raw = [&] {
-    std::span<std::uint8_t> region = buf.arena().allocate(reserve + 1 + n);
-    region[reserve] = kRaw;
-    if (n != 0) std::memcpy(region.data() + reserve + 1, buf.view().data(), n);
-    buf.adopt(region, reserve, 1 + n);
-  };
-
-  if (current().algorithm == "none" ||
-      static_cast<std::int64_t>(n) < min_size_) {
-    ship_raw();
-    fwd_out_ += buf.size();
-    return;
+  // One region serves both frames: a stream is shipped only when it is
+  // shorter than the payload (the legacy frame() decision), so the codec
+  // gets budget n and the raw fallback lands in the same bytes.
+  std::span<std::uint8_t> region = buf.arena().allocate(reserve + 1 + n);
+  std::uint8_t* body = region.data() + reserve + 1;
+  std::size_t written = n;
+  if (current().algorithm != "none" &&
+      static_cast<std::int64_t>(n) >= min_size_) {
+    written = current().codec->compress_into(buf.view(), {body, n});
   }
-  compress::Codec* codec = current().codec.get();
-  const std::size_t bound = codec->max_compressed_size(n);
-  if (bound == 0) {
-    // Codec without an output bound (or empty input): cold one-shot path.
-    const util::Bytes compressed = codec->compress(buf.view());
-    if (compressed.size() >= n) {
-      ship_raw();
-    } else {
-      std::span<std::uint8_t> region =
-          buf.arena().allocate(reserve + 1 + compressed.size());
-      region[reserve] = kCompressed;
-      std::memcpy(region.data() + reserve + 1, compressed.data(),
-                  compressed.size());
-      buf.adopt(region, reserve, 1 + compressed.size());
-    }
-    fwd_out_ += buf.size();
-    return;
-  }
-  // Hot path: compress directly into the arena region behind the marker.
-  // The region is sized to also hold the raw payload so the
-  // incompressible fallback needs no second allocation.
-  std::span<std::uint8_t> region =
-      buf.arena().allocate(reserve + 1 + std::max(bound, n));
-  const std::size_t written = codec->compress_into(
-      buf.view(), {region.data() + reserve + 1, bound});
-  if (written >= n) {
-    // Incompressible: ship raw (bounded worst case), same decision as the
-    // legacy frame() which compared compressed.size() >= payload.size().
-    region[reserve] = kRaw;
-    std::memcpy(region.data() + reserve + 1, buf.view().data(), n);
-    buf.adopt(region, reserve, 1 + n);
-  } else {
+  if (written < n) {
     region[reserve] = kCompressed;
-    buf.adopt(region, reserve, 1 + written);
+  } else {
+    region[reserve] = kRaw;
+    if (n != 0) std::memcpy(body, buf.view().data(), n);
+    written = n;
   }
+  buf.adopt(region, reserve, 1 + written);
   fwd_out_ += buf.size();
 }
 

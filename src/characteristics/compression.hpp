@@ -62,9 +62,10 @@ void register_compression_module();
 ///
 /// Frame (wire-identical to the legacy copy path): one marker octet
 /// (0 = raw, 1 = compressed) followed by the stream. forward() compresses
-/// straight into an arena region sized by the codec's output bound and
-/// ships raw when that would not shrink the payload; reverse() drops the
-/// marker in place for raw frames and decompresses into a recycled
+/// straight into an arena region the size of the raw frame, with the
+/// payload size as the codec's budget, and copies the payload raw into
+/// that region when the stream does not come in under it; reverse() drops
+/// the marker in place for raw frames and decompresses into a recycled
 /// stage-owned scratch buffer otherwise.
 class CompressionTransform final : public core::StreamingTransform {
  public:

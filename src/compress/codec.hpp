@@ -9,10 +9,13 @@
 // Two call shapes coexist:
 //   - the legacy one-shot API (compress/decompress returning fresh Bytes),
 //     kept for tools and tests;
-//   - the streaming API (max_compressed_size/compress_into/
-//     decompress_append) used by the zero-copy transform chain: the caller
-//     provides the output storage, so the hot path never materializes an
-//     intermediate vector per stage.
+//   - the streaming API (compress_into/decompress_append) used by the
+//     zero-copy transform chain: the caller provides the output storage,
+//     so the hot path never materializes an intermediate vector per stage.
+//     compress_into treats that storage as a budget and gives up as soon
+//     as the stream cannot come in under it, so a stage that only keeps
+//     streams shorter than the payload never pays for one it would
+//     discard.
 // Both produce byte-identical streams; the one-shot entry points are thin
 // wrappers over the streaming ones.
 #pragma once
@@ -40,18 +43,15 @@ class Codec {
 
   // ---- streaming API (zero-copy transform chain) ----
 
-  /// Upper bound on compress_into() output for `n` input bytes, or 0 when
-  /// the codec cannot bound its output (callers then fall back to the
-  /// one-shot compress()). A bound of 0 for n == 0 is always correct.
-  virtual std::size_t max_compressed_size(std::size_t n) const {
-    (void)n;
-    return 0;
-  }
+  /// Upper bound on the stream length for `n` input bytes: a budget of
+  /// max_compressed_size(n) + 1 always holds the whole stream.
+  virtual std::size_t max_compressed_size(std::size_t n) const = 0;
 
-  /// Compresses `input` into caller-owned storage `out` and returns the
-  /// number of bytes written. `out.size()` must be at least
-  /// max_compressed_size(input.size()); throws CodecError otherwise.
-  /// Default bridges through the one-shot compress().
+  /// Compresses `input` into caller-owned storage `out`, whose size is the
+  /// budget; nothing is written past it. Returns the stream length when
+  /// the stream is shorter than the budget, else `out.size()` (the
+  /// content of `out` is then unspecified), as early as the codec can
+  /// tell. Default bridges through the one-shot compress().
   virtual std::size_t compress_into(util::BytesView input,
                                     std::span<std::uint8_t> out) const;
 

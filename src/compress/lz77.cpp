@@ -88,7 +88,7 @@ std::size_t Lz77Codec::max_compressed_size(std::size_t n) const {
 }
 
 util::Bytes Lz77Codec::compress(util::BytesView input) const {
-  util::Bytes out(max_compressed_size(input.size()));
+  util::Bytes out(max_compressed_size(input.size()) + 1);
   out.resize(compress_into(input, out));
   return out;
 }
@@ -101,19 +101,18 @@ util::Bytes Lz77Codec::decompress(util::BytesView input) const {
 
 std::size_t Lz77Codec::compress_into(util::BytesView input,
                                      std::span<std::uint8_t> out) const {
-  const std::size_t n = input.size();
-  const std::size_t bound = max_compressed_size(n);
-  if (out.size() < bound) {
-    throw CodecError("lz77: compress_into output buffer too small");
+  const std::size_t budget = out.size();
+  const std::size_t stored = max_compressed_size(input.size());
+  if (input.size() >= kMinMatch) {
+    const std::size_t cap = std::min(budget, stored);
+    const std::size_t written = try_compress(input, out.data(), cap);
+    if (written < cap) return written;
   }
-  if (n == 0) return 0;
-  if (n < kMinMatch) return write_stored(input, out.data());
-  const std::size_t written = try_compress(input, out.data(), bound);
   // Expansion guard: an adversarial token stream can exceed the stored
-  // form (a 5-byte match token may replace only 4 literal bytes). Fall
-  // back to the stored form so output stays within the advertised bound.
-  if (written >= bound) return write_stored(input, out.data());
-  return written;
+  // form (a 5-byte match token may replace only 4 literal bytes), so the
+  // stored form is the fallback, and it too must come in under budget.
+  if (stored >= budget) return budget;
+  return write_stored(input, out.data());
 }
 
 std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,

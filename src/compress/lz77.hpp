@@ -10,8 +10,8 @@
 // Worst-case expansion is bounded: whenever the greedy token stream would
 // reach the stored form's size, compress emits the stored form instead
 // (pure literal runs), so output never exceeds n + 3 * ceil(n / 65535)
-// bytes. Callers sizing buffers with max_compressed_size() never see a
-// mid-transform reallocation, even for incompressible input.
+// bytes. compress_into caps the greedy stream at min(budget, stored form)
+// and stops matching as soon as a token would reach that cap.
 //
 // The match-finder hash tables persist across calls on the codec instance
 // (positions are kept in a rolling global coordinate space, so stale
@@ -44,7 +44,7 @@ class Lz77Codec final : public Codec {
 
  private:
   /// Greedy token stream into out[0..cap); returns bytes written, or `cap`
-  /// as a sentinel when the stream would reach/exceed the stored bound.
+  /// as a sentinel when the stream would reach/exceed `cap`.
   std::size_t try_compress(util::BytesView input, std::uint8_t* out,
                            std::size_t cap) const;
 

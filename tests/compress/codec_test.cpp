@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compress/lz77.hpp"
 #include "compress/rle.hpp"
 #include "util/rng.hpp"
@@ -172,10 +174,9 @@ TEST(Lz77, RejectsZeroLengthLiteralRun) {
 // ---- streaming-path contracts: output bounds and compress_into ----
 
 TEST(Lz77, CompressedSizeNeverExceedsAdvertisedBound) {
-  // The streaming transform sizes its arena region by
-  // max_compressed_size(); the expansion guard (stored-block fallback)
-  // must hold the promise even on adversarial inputs where match tokens
-  // would expand the stream.
+  // compress() sizes its buffer by max_compressed_size() + 1; the
+  // expansion guard (stored-block fallback) must hold the promise even on
+  // adversarial inputs where match tokens would expand the stream.
   Lz77Codec codec;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     for (std::size_t n : {std::size_t{4}, std::size_t{5}, std::size_t{64},
@@ -197,32 +198,53 @@ TEST(Lz77, CompressedSizeNeverExceedsAdvertisedBound) {
   }
 }
 
+/// The bounded compress_into contract around the stream length s: a
+/// budget of s or less returns the budget, a budget of s + 1 or more
+/// returns exactly compress()'s bytes, and nothing lands past the budget.
+void expect_bounded_contract(const Codec& codec, const Bytes& input) {
+  const Bytes stream = codec.compress(input);
+  const std::size_t s = stream.size();
+  constexpr std::size_t kGuard = 16;
+  constexpr std::uint8_t kGuardByte = 0xA5;
+  for (const std::size_t budget :
+       {std::size_t{0}, s / 2, s == 0 ? 0 : s - 1, s, s + 1, s + 64}) {
+    Bytes buf(budget + kGuard, kGuardByte);
+    const std::size_t got =
+        codec.compress_into(input, {buf.data(), budget});
+    EXPECT_TRUE(std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(budget),
+                            buf.end(),
+                            [](std::uint8_t b) { return b == kGuardByte; }))
+        << codec.name() << " wrote past budget " << budget;
+    if (budget <= s) {
+      EXPECT_EQ(got, budget) << codec.name() << " s=" << s;
+    } else {
+      ASSERT_EQ(got, s) << codec.name() << " budget=" << budget;
+      EXPECT_TRUE(std::equal(stream.begin(), stream.end(), buf.begin()))
+          << codec.name() << " budget=" << budget;
+    }
+  }
+}
+
 TEST(Lz77, CompressIntoMatchesCompressAndChecksCapacity) {
   Lz77Codec codec;
-  const Bytes input = compressible_bytes(4096, 3);
-  const Bytes via_compress = codec.compress(input);
-
-  Bytes buf(codec.max_compressed_size(input.size()));
-  const std::size_t written = codec.compress_into(input, buf);
-  buf.resize(written);
-  EXPECT_EQ(buf, via_compress);
-
-  Bytes small(codec.max_compressed_size(input.size()) - 1);
-  EXPECT_THROW(codec.compress_into(input, small), CodecError);
+  expect_bounded_contract(codec, compressible_bytes(4096, 3));
+  // Noise takes the stored-form fallback, which must obey the same rule.
+  expect_bounded_contract(codec, random_bytes(300, 9));
+  expect_bounded_contract(codec, Bytes{1, 2, 3});
+  expect_bounded_contract(codec, Bytes{});
 }
 
 TEST(Rle, CompressIntoMatchesCompressAndChecksCapacity) {
   RleCodec codec;
-  const Bytes input = compressible_bytes(1024, 5);
-  const Bytes via_compress = codec.compress(input);
+  expect_bounded_contract(codec, compressible_bytes(1024, 5));
+  expect_bounded_contract(codec, Bytes(700, 0x11));
+  expect_bounded_contract(codec, Bytes{});
+}
 
-  Bytes buf(codec.max_compressed_size(input.size()));
-  const std::size_t written = codec.compress_into(input, buf);
-  buf.resize(written);
-  EXPECT_EQ(buf, via_compress);
-
-  Bytes small(via_compress.size() > 0 ? 1 : 0);
-  EXPECT_THROW(codec.compress_into(input, small), CodecError);
+TEST(Identity, CompressIntoMatchesCompressAndChecksCapacity) {
+  IdentityCodec codec;
+  expect_bounded_contract(codec, random_bytes(100, 4));
+  expect_bounded_contract(codec, Bytes{});
 }
 
 TEST(Lz77, IncompressibleInputStaysWithinStoredForm) {

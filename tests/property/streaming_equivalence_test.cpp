@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "characteristics/compression.hpp"
 #include "characteristics/encryption.hpp"
@@ -226,6 +227,119 @@ TEST(StreamingEquivalenceTest, IncompressiblePayloadShipsRawFrame) {
   chain.run_reverse(body, {1, false});
   EXPECT_EQ(body, payload);
 }
+
+// ---- codec streams at the raw/compressed decision boundary ----
+
+/// rle payload of n bytes built from runs of two, with one run of three
+/// (n odd, stream n - 1), none (n even, stream n) or one run of one
+/// (n odd, stream n + 1) at `odd_at` pairs in.
+util::Bytes rle_boundary_payload(util::Rng& rng, std::size_t pairs,
+                                 std::size_t odd_run, std::size_t odd_at) {
+  util::Bytes data;
+  auto append_run = [&](std::size_t len) {
+    auto b = static_cast<std::uint8_t>(rng.next());
+    if (!data.empty() && b == data.back()) b ^= 0x01;
+    data.insert(data.end(), len, b);
+  };
+  for (std::size_t k = 0; k < pairs; ++k) {
+    if (k == odd_at && odd_run != 0) append_run(odd_run);
+    append_run(2);
+  }
+  return data;
+}
+
+/// lz77 payload: `noise` random bytes, then a repeat of their first
+/// `repeat` bytes, so the stream is 3 + noise literals + one 5-byte match
+/// token = n - repeat + 8.
+util::Bytes lz77_boundary_payload(util::Rng& rng, std::size_t noise,
+                                  std::size_t repeat) {
+  util::Bytes data(noise);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  data.insert(data.end(), data.begin(),
+              data.begin() + static_cast<std::ptrdiff_t>(repeat));
+  return data;
+}
+
+/// A payload and its codec stream length minus its own length n.
+struct BoundaryCase {
+  util::Bytes payload;
+  std::ptrdiff_t stream_minus_n;
+};
+
+std::vector<BoundaryCase> boundary_cases(const std::string& codec_name,
+                                         util::Rng& rng) {
+  std::vector<BoundaryCase> cases;
+  for (const std::size_t pairs : {std::size_t{40}, std::size_t{2048}}) {
+    if (codec_name == "rle") {
+      for (const std::size_t at : {std::size_t{0}, pairs / 2, pairs - 1}) {
+        cases.push_back({rle_boundary_payload(rng, pairs, 3, at), -1});
+        cases.push_back({rle_boundary_payload(rng, pairs, 1, at), +1});
+      }
+      cases.push_back({rle_boundary_payload(rng, pairs, 0, 0), 0});
+    } else {
+      for (const std::size_t repeat : {9, 8, 7}) {
+        cases.push_back({lz77_boundary_payload(rng, 2 * pairs, repeat),
+                         8 - static_cast<std::ptrdiff_t>(repeat)});
+      }
+    }
+  }
+  return cases;
+}
+
+/// (codec name, encrypt?)
+using BoundaryParam = std::tuple<std::string, bool>;
+
+class DecisionBoundaryP : public ::testing::TestWithParam<BoundaryParam> {};
+
+TEST_P(DecisionBoundaryP, StreamOfNMinusOneNOrNPlusOneMatchesLegacyFrame) {
+  const auto& [codec_name, encrypt] = GetParam();
+  util::Rng rng(codec_name == "rle" ? 71 : 72);
+
+  CompressionTransform compression;
+  compression.set_codec(compress::make_codec(codec_name));
+  compression.set_min_size(kMinSize);
+  PskKeySource source;
+  const crypto::Key128 key =
+      crypto::derive_key(util::to_bytes("boundary-secret"));
+  source.configure(key, true);
+  EncryptionTransform encryption(source);
+  core::TransformChain chain;
+  chain.add(&compression);
+  if (encrypt) chain.add(&encryption);
+  const std::unique_ptr<compress::Codec> ref_codec =
+      compress::make_codec(codec_name);
+
+  for (const BoundaryCase& c : boundary_cases(codec_name, rng)) {
+    const auto n = static_cast<std::ptrdiff_t>(c.payload.size());
+    // The payload recipe really lands on the boundary it names.
+    const util::Bytes stream = ref_codec->compress(c.payload);
+    ASSERT_EQ(static_cast<std::ptrdiff_t>(stream.size()),
+              n + c.stream_minus_n)
+        << codec_name << " n=" << n;
+    const util::Bytes legacy =
+        legacy_compress(*ref_codec, kMinSize, c.payload);
+    ASSERT_EQ(legacy[0], c.stream_minus_n < 0 ? 0x01 : 0x00)
+        << codec_name << " n=" << n;
+
+    const std::uint64_t request_id = rng.next();
+    const util::Bytes expected =
+        encrypt ? legacy_encrypt(key, true, 0, legacy_nonce(request_id, false),
+                                 legacy)
+                : legacy;
+    util::Bytes body = c.payload;
+    chain.run_forward(body, {request_id, false});
+    ASSERT_EQ(body, expected) << codec_name << " encrypt=" << encrypt
+                              << " n=" << n << " d=" << c.stream_minus_n;
+    chain.run_reverse(body, {request_id, false});
+    ASSERT_EQ(body, c.payload) << codec_name << " n=" << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codecs, DecisionBoundaryP,
+    ::testing::Combine(::testing::Values(std::string("rle"),
+                                         std::string("lz77")),
+                       ::testing::Bool()));
 
 // ---- fused vs per-mediator composite paths ----
 
