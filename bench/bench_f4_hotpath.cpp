@@ -300,7 +300,8 @@ void run_scenarios(std::vector<Row>& rows) {
 
     // Client side: mediator chain [compression, encryption] -> the wire
     // carries encrypt(compress(x)). Server side: impls installed in the
-    // same order; transform_args runs reversed (decrypt, then inflate).
+    // same order; the fused chain restores arguments in reverse (decrypt,
+    // then inflate).
     auto mediator = std::make_shared<core::CompositeMediator>();
     auto compress_mediator =
         std::make_shared<characteristics::CompressionMediator>();

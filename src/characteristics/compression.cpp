@@ -211,25 +211,11 @@ void CompressionTransform::reverse(core::ChainBuf& buf,
 // ---- application-centered ----
 
 CompressionMediator::CompressionMediator()
-    : core::Mediator(compression_name()) {
-  chain_.add(&stage_);
-}
+    : core::Mediator(compression_name()) {}
 
 void CompressionMediator::bind_agreement(const core::Agreement& agreement) {
   core::Mediator::bind_agreement(agreement);
   configure_from(agreement, stage_, effective_version(agreement));
-}
-
-void CompressionMediator::outbound(orb::RequestMessage& req,
-                                   orb::ObjRef& target) {
-  (void)target;
-  chain_.run_forward(req.body, {req.request_id, false});
-}
-
-void CompressionMediator::inbound(const orb::RequestMessage& req,
-                                  orb::ReplyMessage& rep) {
-  if (rep.status != orb::ReplyStatus::kOk) return;  // exceptions ship raw
-  chain_.run_reverse(rep.body, {req.request_id, true});
 }
 
 double CompressionMediator::compression_ratio() const {
@@ -246,27 +232,11 @@ cdr::Any CompressionMediator::qos_operation(
   return core::Mediator::qos_operation(op, args);
 }
 
-CompressionImpl::CompressionImpl() : core::QosImpl(compression_name()) {
-  chain_.add(&stage_);
-}
+CompressionImpl::CompressionImpl() : core::QosImpl(compression_name()) {}
 
 void CompressionImpl::bind_agreement(const core::Agreement& agreement) {
   core::QosImpl::bind_agreement(agreement);
   configure_from(agreement, stage_, effective_version(agreement));
-}
-
-util::Bytes CompressionImpl::transform_args(util::Bytes args,
-                                            orb::ServerContext& ctx) {
-  (void)ctx;
-  chain_.run_reverse(args, {0, false});
-  return args;
-}
-
-util::Bytes CompressionImpl::transform_result(util::Bytes result,
-                                              orb::ServerContext& ctx) {
-  (void)ctx;
-  chain_.run_forward(result, {0, true});
-  return result;
 }
 
 void CompressionImpl::dispatch_qos_op(const std::string& op,

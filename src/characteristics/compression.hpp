@@ -5,8 +5,8 @@
 // experiment F1 compares:
 //   - application-centered: CompressionMediator (client stub delegate)
 //     compresses the marshaled argument stream; CompressionImpl (server
-//     QoS implementation) restores it via the QoS skeleton's aspect
-//     transforms and compresses results on the way out.
+//     QoS implementation) restores it in the QoS skeleton's transform
+//     stage and compresses results on the way out.
 //   - network-centered: CompressionModule, a QoS transport module that
 //     rewrites message bodies below the ORB's invocation layer.
 //
@@ -127,11 +127,8 @@ class CompressionMediator final : public core::Mediator {
   CompressionMediator();
 
   void bind_agreement(const core::Agreement& agreement) override;
-  void outbound(orb::RequestMessage& req, orb::ObjRef& target) override;
-  void inbound(const orb::RequestMessage& req,
-               orb::ReplyMessage& rep) override;
-  /// inbound() only decompresses the reply; the stub need not keep the
-  /// compressed argument stream alive across the call.
+  /// The stage only decompresses the reply; the stub need not keep the
+  /// argument stream alive across the call.
   bool needs_request_payload() const override { return false; }
   core::StreamingTransform* streaming_transform() override { return &stage_; }
   cdr::Any qos_operation(const std::string& op,
@@ -142,7 +139,6 @@ class CompressionMediator final : public core::Mediator {
 
  private:
   CompressionTransform stage_;
-  core::TransformChain chain_;  // single-stage chain for the unfused path
 };
 
 class CompressionImpl final : public core::QosImpl {
@@ -150,17 +146,12 @@ class CompressionImpl final : public core::QosImpl {
   CompressionImpl();
 
   void bind_agreement(const core::Agreement& agreement) override;
-  util::Bytes transform_args(util::Bytes args,
-                             orb::ServerContext& ctx) override;
-  util::Bytes transform_result(util::Bytes result,
-                               orb::ServerContext& ctx) override;
   core::StreamingTransform* streaming_transform() override { return &stage_; }
   void dispatch_qos_op(const std::string& op, cdr::Decoder& args,
                        cdr::Encoder& out, orb::ServerContext& ctx) override;
 
  private:
   CompressionTransform stage_;
-  core::TransformChain chain_;
 };
 
 /// Network-centered variant: body transforms at the transport layer.

@@ -373,49 +373,19 @@ void configure_psk(PskKeySource& source, const core::Agreement& agreement,
 }  // namespace
 
 EncryptionMediator::EncryptionMediator()
-    : core::Mediator(encryption_name()), stage_(source_) {
-  chain_.add(&stage_);
-}
+    : core::Mediator(encryption_name()), stage_(source_) {}
 
 void EncryptionMediator::bind_agreement(const core::Agreement& agreement) {
   core::Mediator::bind_agreement(agreement);
   configure_psk(source_, agreement, effective_version(agreement));
 }
 
-void EncryptionMediator::outbound(orb::RequestMessage& req,
-                                  orb::ObjRef& target) {
-  (void)target;
-  chain_.run_forward(req.body, {req.request_id, false});
-}
-
-void EncryptionMediator::inbound(const orb::RequestMessage& req,
-                                 orb::ReplyMessage& rep) {
-  if (rep.status != orb::ReplyStatus::kOk) return;
-  chain_.run_reverse(rep.body, {req.request_id, true});
-}
-
 EncryptionImpl::EncryptionImpl()
-    : core::QosImpl(encryption_name()), stage_(source_) {
-  chain_.add(&stage_);
-}
+    : core::QosImpl(encryption_name()), stage_(source_) {}
 
 void EncryptionImpl::bind_agreement(const core::Agreement& agreement) {
   core::QosImpl::bind_agreement(agreement);
   configure_psk(source_, agreement, effective_version(agreement));
-}
-
-util::Bytes EncryptionImpl::transform_args(util::Bytes args,
-                                           orb::ServerContext& ctx) {
-  request_nonce_ = ctx.request().request_id;
-  chain_.run_reverse(args, {request_nonce_, false});
-  return args;
-}
-
-util::Bytes EncryptionImpl::transform_result(util::Bytes result,
-                                             orb::ServerContext& ctx) {
-  (void)ctx;
-  chain_.run_forward(result, {request_nonce_, true});
-  return result;
 }
 
 core::CharacteristicProvider make_encryption_psk_provider() {

@@ -195,35 +195,25 @@ class EncryptionMediator final : public core::Mediator {
  public:
   EncryptionMediator();
   void bind_agreement(const core::Agreement& agreement) override;
-  void outbound(orb::RequestMessage& req, orb::ObjRef& target) override;
-  void inbound(const orb::RequestMessage& req,
-               orb::ReplyMessage& rep) override;
-  /// inbound() derives the reply nonce from request_id alone (a retained
-  /// header field), so the ciphertext body need not be kept.
+  /// The stage derives the reply nonce from request_id alone (a retained
+  /// header field), so the argument stream need not be kept.
   bool needs_request_payload() const override { return false; }
   core::StreamingTransform* streaming_transform() override { return &stage_; }
 
  private:
   PskKeySource source_;
   EncryptionTransform stage_;
-  core::TransformChain chain_;
 };
 
 class EncryptionImpl final : public core::QosImpl {
  public:
   EncryptionImpl();
   void bind_agreement(const core::Agreement& agreement) override;
-  util::Bytes transform_args(util::Bytes args,
-                             orb::ServerContext& ctx) override;
-  util::Bytes transform_result(util::Bytes result,
-                               orb::ServerContext& ctx) override;
   core::StreamingTransform* streaming_transform() override { return &stage_; }
 
  private:
   PskKeySource source_;
   EncryptionTransform stage_;
-  core::TransformChain chain_;
-  std::uint64_t request_nonce_ = 0;
 };
 
 }  // namespace maqs::characteristics

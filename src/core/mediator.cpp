@@ -1,6 +1,7 @@
 #include "core/mediator.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "trace/trace.hpp"
 
@@ -63,10 +64,9 @@ bool CompositeMediator::rebind(const std::string& characteristic,
 void CompositeMediator::rebuild_fused() {
   fused_.clear();
   for (const auto& mediator : chain_) {
-    if (mediator->streaming_transform() == nullptr) return;
-  }
-  for (const auto& mediator : chain_) {
-    fused_.add(mediator->streaming_transform());
+    if (StreamingTransform* stage = mediator->streaming_transform()) {
+      fused_.add(stage);
+    }
   }
 }
 
@@ -100,19 +100,18 @@ std::optional<orb::ReplyMessage> CompositeMediator::try_local(
 
 void CompositeMediator::outbound(orb::RequestMessage& req,
                                  orb::ObjRef& target) {
-  // Fused path: every member exposed a streaming stage, so the whole
-  // outbound stack runs over one arena with the same per-characteristic
-  // spans the loop below would emit.
-  if (!fused_.empty()) {
-    fused_.run_forward(req.body, {req.request_id, false});
-    return;
-  }
-  // One span per characteristic: the trace attributes transform cost to
-  // the mediator that caused it (compress vs. encrypt), not to the chain.
+  // Hooks first, in installation order, so each sees the payload as the
+  // stub marshaled it; then one fused run applies every member's stage.
+  // One span per characteristic either way: the chain emits it for stage
+  // members, this loop for the rest.
   for (const auto& mediator : chain_) {
-    trace::SpanScope span("mediator.outbound", mediator->characteristic());
+    std::optional<trace::SpanScope> span;
+    if (mediator->streaming_transform() == nullptr) {
+      span.emplace("mediator.outbound", mediator->characteristic());
+    }
     mediator->outbound(req, target);
   }
+  fused_.run_forward(req.body, {req.request_id, false});
 }
 
 bool CompositeMediator::needs_request_payload() const {
@@ -124,16 +123,17 @@ bool CompositeMediator::needs_request_payload() const {
 
 void CompositeMediator::inbound(const orb::RequestMessage& req,
                                 orb::ReplyMessage& rep) {
-  if (!fused_.empty()) {
-    if (rep.status != orb::ReplyStatus::kOk) return;  // exceptions ship raw
+  // Mirror of outbound(): undo the stages (reverse run, so the last
+  // outbound transform, outermost on the wire, goes first), then the hooks
+  // in reverse order over the restored payload. Exceptions ship raw.
+  if (rep.status == orb::ReplyStatus::kOk) {
     fused_.run_reverse(rep.body, {req.request_id, true});
-    return;
   }
-  // Reverse order: the last outbound transform is outermost on the wire
-  // and must be undone first — e.g. outbound [compress, encrypt] yields
-  // encrypt(compress(x)), so inbound runs decrypt, then decompress.
   for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
-    trace::SpanScope span("mediator.inbound", (*it)->characteristic());
+    std::optional<trace::SpanScope> span;
+    if ((*it)->streaming_transform() == nullptr) {
+      span.emplace("mediator.inbound", (*it)->characteristic());
+    }
     (*it)->inbound(req, rep);
   }
 }

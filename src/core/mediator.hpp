@@ -15,7 +15,9 @@
 // CompositeMediator supports several simultaneously negotiated
 // characteristics on one stub (e.g. Compression + Encryption): it chains
 // the delegates in a defined order — outbound in installation order,
-// inbound reversed — so payload transforms nest correctly.
+// inbound reversed — and fuses every member's payload stage into one
+// TransformChain, so payload transforms nest correctly and the members'
+// own hooks always see the application payload.
 #pragma once
 
 #include <memory>
@@ -68,11 +70,10 @@ class Mediator : public orb::ClientDelegate {
                    ": unsupported QoS operation '" + op + "'");
   }
 
-  /// Streaming form of this mediator's payload transform, when it has one.
-  /// A composite whose members all expose a stage fuses them into a single
-  /// TransformChain (one arena, zero intermediate copies); any mediator
-  /// returning nullptr keeps the whole composite on the legacy
-  /// outbound()/inbound() hooks.
+  /// This mediator's payload transform, when it has one. A composite fuses
+  /// the stages of all its members into a single TransformChain (one
+  /// arena, zero intermediate copies) that runs after every outbound() hook
+  /// and before every inbound() hook.
   virtual StreamingTransform* streaming_transform() { return nullptr; }
 
  protected:
@@ -113,9 +114,8 @@ class CompositeMediator : public orb::ClientDelegate {
   bool needs_request_payload() const override;
 
  private:
-  /// Rebuilds the fused streaming chain after add/remove. All-or-nothing:
-  /// the fused path engages only when every member mediator exposes a
-  /// streaming stage.
+  /// Rebuilds the fused chain after add/remove from the stages of the
+  /// members that have one, in installation order.
   void rebuild_fused();
   /// Pushes the channel version (sum of member agreement versions) to the
   /// members sharing this stub's wire channel; see

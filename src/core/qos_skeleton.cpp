@@ -33,36 +33,10 @@ class PrologEpilogStage final : public orb::ServerInterceptor {
   std::shared_ptr<QosImpl> impl_;
 };
 
-// One delegate's marshaled-payload transforms: arguments inverted on the
-// way down, results applied on the way up.
-class TransformStage final : public orb::ServerInterceptor {
- public:
-  explicit TransformStage(std::shared_ptr<QosImpl> impl)
-      : impl_(std::move(impl)) {}
-  const char* name() const noexcept override { return "skeleton.transform"; }
-
-  void receive_request(orb::ServerRequestInfo& info) override {
-    trace::SpanScope span("skeleton.transform_args", impl_->characteristic());
-    info.request->body =
-        impl_->transform_args(std::move(info.request->body), *info.ctx);
-  }
-
-  void send_reply(orb::ServerRequestInfo& info) override {
-    trace::SpanScope span("skeleton.transform_result",
-                          impl_->characteristic());
-    info.reply.body =
-        impl_->transform_result(std::move(info.reply.body), *info.ctx);
-  }
-
- private:
-  std::shared_ptr<QosImpl> impl_;
-};
-
-// Every installed delegate exposed a streaming stage: one fused chain in
-// the transform band replaces the per-delegate TransformStage stack. The
-// chain applies stages in installation order on the way out (matching the
-// band layout's result-transform order) and reversed on the way in, with
-// the same per-characteristic spans the individual stages would emit.
+// The payload stages of every installed delegate, fused into one chain in
+// the transform band: reversed (arguments restored) on the way in, in
+// installation order (results transformed) on the way out, with one span
+// per characteristic.
 class FusedTransformStage final : public orb::ServerInterceptor {
  public:
   FusedTransformStage()
@@ -202,35 +176,22 @@ void QosServantBase::rebuild_stage_chain() {
   stage_chain_ = orb::ServerChain{};
   stages_.clear();
   // Band layout encodes the paper's nesting: prologs run in installation
-  // order (ascending prolog band), argument transforms in reverse
-  // installation order (descending offsets in the transform band), and the
-  // unwind mirrors both — result transforms in installation order, epilogs
-  // reversed.
+  // order (ascending prolog band) and epilogs reversed on the unwind; the
+  // one transform stage sits below them all, so arguments are restored
+  // after every prolog and results transformed before every epilog.
   const int n = static_cast<int>(impls_.size());
-  bool all_streaming = n > 0;
-  for (const auto& impl : impls_) {
-    if (impl->streaming_transform() == nullptr) {
-      all_streaming = false;
-      break;
-    }
-  }
+  auto transform = std::make_unique<FusedTransformStage>();
   for (int i = 0; i < n; ++i) {
     stages_.push_back(std::make_unique<PrologEpilogStage>(impls_[i]));
     stage_chain_.add(stages_.back().get(),
                      orb::priorities::kSkeletonPrologBase + i);
-    if (!all_streaming) {
-      stages_.push_back(std::make_unique<TransformStage>(impls_[i]));
-      stage_chain_.add(stages_.back().get(),
-                       orb::priorities::kSkeletonTransformBase + (n - 1 - i));
+    if (StreamingTransform* stage = impls_[i]->streaming_transform()) {
+      transform->chain().add(stage);
     }
   }
-  if (all_streaming) {
-    auto fused = std::make_unique<FusedTransformStage>();
-    for (const auto& impl : impls_) {
-      fused->chain().add(impl->streaming_transform());
-    }
-    stage_chain_.add(fused.get(), orb::priorities::kSkeletonTransformBase);
-    stages_.push_back(std::move(fused));
+  if (!transform->chain().empty()) {
+    stage_chain_.add(transform.get(), orb::priorities::kSkeletonTransformBase);
+    stages_.push_back(std::move(transform));
   }
 }
 
@@ -268,14 +229,13 @@ void QosServantBase::dispatch(const std::string& operation,
                              "', which is not negotiated");
   }
   // Application operation: the woven stage chain. Walk order (ascending
-  // priority) runs prologs in installation order, then argument transforms
-  // in reverse installation order (the client's mediator chain applied
-  // them in installation order, so the last one is outermost on the wire),
-  // then the application terminal; the unwind applies result transforms in
-  // installation order (so the client chain can peel them back) and
-  // epilogs reversed. An exception from any stage skips the unwind hooks
-  // below it and propagates to the adapter's reply mapping, exactly like
-  // the hand-rolled loops it replaces.
+  // priority) runs prologs in installation order, then the fused argument
+  // transforms in reverse installation order (the client's mediator chain
+  // applied them in installation order, so the last one is outermost on
+  // the wire), then the application terminal; the unwind applies result
+  // transforms in installation order (so the client chain can peel them
+  // back) and epilogs reversed. An exception from any stage skips the
+  // unwind hooks below it and propagates to the adapter's reply mapping.
   if (impls_.empty()) {
     trace::SpanScope app_span("skeleton.app", operation);
     dispatch_app(operation, args, out, ctx);

@@ -101,28 +101,13 @@ class QosImpl {
   virtual void prolog(orb::ServerContext& ctx) { (void)ctx; }
   virtual void epilog(orb::ServerContext& ctx) { (void)ctx; }
 
-  /// Aspect transform of the marshaled argument stream before the
-  /// application skeleton unmarshals it (inverse of what the mediator did
-  /// on the client: decompress, decrypt, ...). Default: identity.
-  virtual util::Bytes transform_args(util::Bytes args,
-                                     orb::ServerContext& ctx) {
-    (void)ctx;
-    return args;
-  }
-
-  /// Aspect transform of the marshaled result stream after the
-  /// application skeleton produced it. Default: identity.
-  virtual util::Bytes transform_result(util::Bytes result,
-                                       orb::ServerContext& ctx) {
-    (void)ctx;
-    return result;
-  }
-
-  /// Streaming form of this implementation's payload transform, when it
-  /// has one. When every installed delegate exposes a stage the skeleton
-  /// fuses them into one TransformChain (single arena, no per-stage
-  /// copies); any delegate returning nullptr keeps the whole servant on
-  /// the legacy transform_args/transform_result hooks.
+  /// This implementation's payload transform, when it has one: reverse()
+  /// restores the marshaled arguments before the application skeleton
+  /// unmarshals them (the inverse of what the mediator did on the client:
+  /// decrypt, decompress, ...), forward() transforms the marshaled result.
+  /// The skeleton fuses the stages of all installed delegates into one
+  /// TransformChain (single arena, no per-stage copies); a delegate
+  /// returning nullptr leaves the payload alone.
   virtual StreamingTransform* streaming_transform() { return nullptr; }
 
   /// The characteristic's QoS operations (mechanism + peer + aspect ops
@@ -202,8 +187,9 @@ class QosServantBase : public orb::Servant {
  private:
   /// Rebuilds the per-servant stage chain from impls_ after any delegate
   /// exchange: each delegate contributes a prolog/epilog stage in the
-  /// prolog band and a payload-transform stage in the transform band
-  /// (see dispatch() for the nesting the band priorities encode).
+  /// prolog band, and one transform stage in the transform band runs the
+  /// fused chain of every delegate's payload stage (see dispatch() for the
+  /// nesting the band priorities encode).
   void rebuild_stage_chain();
 
   /// Pushes the channel version (sum of installed delegates' agreement
@@ -219,9 +205,9 @@ class QosServantBase : public orb::Servant {
   /// relies on — see dispatch()).
   std::vector<std::shared_ptr<QosImpl>> impls_;
   std::unique_ptr<QosServerContext> impl_ctx_;
-  /// The woven dispatch as an interceptor chain: one prolog/epilog and one
-  /// transform stage per installed delegate, walked by dispatch() with the
-  /// application skeleton as the terminal.
+  /// The woven dispatch as an interceptor chain: one prolog/epilog stage
+  /// per installed delegate plus one transform stage, walked by dispatch()
+  /// with the application skeleton as the terminal.
   std::vector<std::unique_ptr<orb::ServerInterceptor>> stages_;
   orb::ServerChain stage_chain_;
 };

@@ -15,9 +15,10 @@
 //     headroom, or emit into a fresh arena region — never into a
 //     temporary vector.
 //   - StreamingTransform: one characteristic's forward (outbound) and
-//     reverse (inbound) transform over a ChainBuf. Implemented by the
-//     compression/encryption characteristics; wire bytes are identical to
-//     the legacy Bytes-in/Bytes-out hooks they replace.
+//     reverse (inbound) transform over a ChainBuf: the one form a mediator
+//     or QoS implementation gives its payload transform. Implemented by
+//     the compression/encryption characteristics; wire bytes are identical
+//     to the copy-per-stage frames they replaced.
 //   - TransformChain: runs the stages (forward in installation order,
 //     reverse reversed — the paper's mediator/skeleton nesting), computes
 //     per-stage headroom so every downstream header prepends in place,
@@ -25,7 +26,9 @@
 //     its capacity or swapping storage outright.
 //
 // Client mediators, server QoS skeletons and the network-centered QoS
-// modules all run their transforms through this one pipeline.
+// modules all run their transforms through this one pipeline: a composite
+// mediator and a QoS skeleton each fuse the stages of all their members
+// into one chain, and each module runs its own.
 #pragma once
 
 #include <cstdint>

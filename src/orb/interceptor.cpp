@@ -58,11 +58,9 @@ SendAction MediatorClientInterceptor::send_request(ClientRequestInfo& info) {
     info.reply = *std::move(local);
     return SendAction::kComplete;
   }
-  // The delegate may redirect (load balancing); give it a mutable copy of
-  // the target and let the levels below address the redirected one.
-  info.redirect.emplace(*info.target);
-  mediator->outbound(info.request, *info.redirect);
-  info.target = &*info.redirect;
+  // Retain the request as the stub marshaled it, before outbound()
+  // transforms the body: inbound() must see what try_local() saw (a cache
+  // fills under the key it is probed with).
   if (mediator->needs_request_payload()) {
     info.retained = info.request;
   } else {
@@ -75,6 +73,11 @@ SendAction MediatorClientInterceptor::send_request(ClientRequestInfo& info) {
     info.retained.target_module = info.request.target_module;
     info.retained.operation = info.request.operation;
   }
+  // The delegate may redirect (load balancing); give it a mutable copy of
+  // the target and let the levels below address the redirected one.
+  info.redirect.emplace(*info.target);
+  mediator->outbound(info.request, *info.redirect);
+  info.target = &*info.redirect;
   // A redirected target addresses its own object key.
   info.request.object_key = info.target->object_key;
   return SendAction::kContinue;

@@ -37,8 +37,8 @@
 // ask for the levels from itself downward to be re-driven (kRetry), or
 // fail the call by throwing from receive_reply; a server interceptor
 // completes by setting info.completed. The QoS skeleton reuses the server
-// chain machinery for its per-characteristic prolog/epilog and payload
-// transform stages (see core/qos_skeleton.cpp).
+// chain machinery for its per-characteristic prolog/epilog stages and its
+// fused payload-transform stage (see core/qos_skeleton.cpp).
 #pragma once
 
 #include <algorithm>

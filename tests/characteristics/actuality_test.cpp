@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "characteristics/compression.hpp"
+#include "characteristics/encryption.hpp"
 #include "core/negotiation.hpp"
 #include "net/network.hpp"
 #include "support/qos_echo.hpp"
@@ -202,6 +204,84 @@ TEST_F(ActualityTest, RenegotiationClearsCache) {
   stub.value();  // cache was cleared by rebinding
   EXPECT_GT(servant_->calls, calls);
 }
+
+/// Actuality stacked with the payload-transforming characteristics on one
+/// object, negotiated in the order of the parameter.
+class StackedActualityTest
+    : public ActualityTest,
+      public ::testing::WithParamInterface<std::vector<std::string>> {
+ protected:
+  StackedActualityTest() {
+    stacked_ = std::make_shared<QosEchoImpl>();
+    std::vector<orb::QosProfile> profiles;
+    for (const core::CharacteristicDescriptor& descriptor :
+         {actuality_descriptor(), compression_descriptor(),
+          encryption_descriptor()}) {
+      stacked_->assign_characteristic(descriptor);
+      orb::QosProfile profile;
+      profile.characteristic = descriptor.name();
+      profiles.push_back(profile);
+    }
+    stacked_ref_ = server_.adapter().activate("stacked", stacked_, profiles);
+    resources_.declare("bandwidth", 100.0);
+    providers_.add(make_actuality_provider());
+    providers_.add(make_compression_provider());
+    providers_.add(make_encryption_psk_provider());
+  }
+
+  std::map<std::string, cdr::Any> params_for(const std::string& name) const {
+    if (name == actuality_name()) {
+      return {{"max_age_ms", cdr::Any::from_long(10000)},
+              {"cacheable_ops", cdr::Any::from_string("echo")}};
+    }
+    if (name == encryption_name()) {
+      return {{"psk", cdr::Any::from_string("stacked")}};
+    }
+    return {};
+  }
+
+  core::ProviderRegistry providers_;
+  std::shared_ptr<QosEchoImpl> stacked_;
+  orb::ObjRef stacked_ref_;
+};
+
+TEST_P(StackedActualityTest, RepeatedReadsServedFromCache) {
+  // Stacking order must not matter: the cache keys on the arguments as
+  // the stub marshaled them and stores the reply as the stub unmarshals
+  // it, whatever the payload stages do on the wire.
+  core::NegotiationService negotiation(server_transport_, providers_,
+                                       resources_);
+  core::Negotiator negotiator(client_transport_, providers_);
+  EchoStub stub(client_, stacked_ref_);
+  for (const std::string& name : GetParam()) {
+    negotiator.negotiate(stub, name, params_for(name));
+  }
+
+  std::string input;
+  while (input.size() < 300) input += "sensor=7 reading=21.5;";
+  input.resize(300);
+  EXPECT_EQ(stub.echo(input), input);  // miss, fills the cache
+  const int calls_after_fill = stacked_->calls;
+  EXPECT_EQ(stub.echo(input), input);
+  EXPECT_EQ(stub.echo(input), input);
+  EXPECT_EQ(stacked_->calls - calls_after_fill, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orders, StackedActualityTest,
+    ::testing::Values(
+        std::vector<std::string>{actuality_name(), compression_name()},
+        std::vector<std::string>{compression_name(), actuality_name()},
+        std::vector<std::string>{actuality_name(), encryption_name()},
+        std::vector<std::string>{actuality_name(), compression_name(),
+                                 encryption_name()},
+        std::vector<std::string>{compression_name(), encryption_name(),
+                                 actuality_name()}),
+    [](const ::testing::TestParamInfo<std::vector<std::string>>& order) {
+      std::string label;
+      for (const std::string& name : order.param) label += name.front();
+      return label;
+    });
 
 }  // namespace
 }  // namespace maqs::characteristics

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/mediator.hpp"
 #include "core/negotiation.hpp"
 #include "net/network.hpp"
 #include "support/qos_echo.hpp"
@@ -97,11 +98,13 @@ TEST_F(CompressionTest, MediatorReportsCompressionRatio) {
   agreement.params = compression_descriptor().default_params();
   mediator->bind_agreement(agreement);
   EXPECT_EQ(mediator->compression_ratio(), 1.0);
+  core::CompositeMediator composite;
+  composite.add(mediator);
 
   orb::RequestMessage req;
   req.body = compressible(10000);
   orb::ObjRef target;
-  mediator->outbound(req, target);
+  composite.outbound(req, target);
   EXPECT_LT(mediator->compression_ratio(), 0.5);
   EXPECT_EQ(
       mediator->qos_operation("qos_compression_ratio", {}).as_double(),
@@ -115,10 +118,12 @@ TEST_F(CompressionTest, SmallPayloadsShipRaw) {
   agreement.characteristic = compression_name();
   agreement.params = compression_descriptor().default_params();  // min 64
   mediator->bind_agreement(agreement);
+  core::CompositeMediator composite;
+  composite.add(mediator);
   orb::RequestMessage req;
   req.body = util::to_bytes("tiny");
   orb::ObjRef target;
-  mediator->outbound(req, target);
+  composite.outbound(req, target);
   EXPECT_EQ(req.body.size(), 5u);  // marker + 4 raw bytes
   EXPECT_EQ(req.body[0], 0x00);
 }
@@ -129,13 +134,15 @@ TEST_F(CompressionTest, IncompressiblePayloadsShipRaw) {
   agreement.characteristic = compression_name();
   agreement.params = compression_descriptor().default_params();
   mediator->bind_agreement(agreement);
+  core::CompositeMediator composite;
+  composite.add(mediator);
   util::Rng rng(7);
   util::Bytes noise(4096);
   for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next());
   orb::RequestMessage req;
   req.body = noise;
   orb::ObjRef target;
-  mediator->outbound(req, target);
+  composite.outbound(req, target);
   EXPECT_EQ(req.body.size(), noise.size() + 1);  // bounded expansion
 }
 
@@ -205,13 +212,13 @@ TEST_F(CompressionTest, CorruptFrameRejected) {
   agreement.characteristic = compression_name();
   agreement.params = compression_descriptor().default_params();
   impl.bind_agreement(agreement);
-  orb::RequestMessage req;
-  net::Address from{"x", 1};
-  orb::ServiceContext reply_ctx;
-  orb::ServerContext ctx(req, from, reply_ctx);
-  EXPECT_THROW(impl.transform_args({}, ctx), compress::CodecError);
-  EXPECT_THROW(impl.transform_args({0x77, 1, 2}, ctx),
-               compress::CodecError);
+  // The skeleton restores arguments with a reverse run over the stage.
+  core::TransformChain chain;
+  chain.add(impl.streaming_transform());
+  util::Bytes empty;
+  EXPECT_THROW(chain.run_reverse(empty, {}), compress::CodecError);
+  util::Bytes bad_marker{0x77, 1, 2};
+  EXPECT_THROW(chain.run_reverse(bad_marker, {}), compress::CodecError);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // simultaneously negotiated agreements of different categories).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/mediator.hpp"
 #include "core/qos_skeleton.hpp"
 #include "net/network.hpp"
@@ -20,9 +22,10 @@ CharacteristicDescriptor characteristic(const std::string& name) {
       {QosOpDesc{"qos_" + name, QosOpKind::kMechanism}});
 }
 
-/// Tags the argument/result stream with one byte on each side so the
-/// nesting order is observable.
-class TaggingImpl : public QosImpl {
+/// Tags the front of the argument/result stream with one byte on each
+/// side, through its own payload stage, so the nesting order is
+/// observable.
+class TaggingImpl : public QosImpl, public StreamingTransform {
  public:
   TaggingImpl(const std::string& name, std::uint8_t tag,
               std::vector<std::string>& trace)
@@ -34,20 +37,30 @@ class TaggingImpl : public QosImpl {
   void epilog(orb::ServerContext&) override {
     trace_.push_back("epilog:" + characteristic());
   }
-  util::Bytes transform_args(util::Bytes args, orb::ServerContext&) override {
-    // Inverse of the client transform: strip our tag from the end.
+  StreamingTransform* streaming_transform() override { return this; }
+  const std::string& label() const override { return characteristic(); }
+  std::size_t forward_overhead() const noexcept override { return 1; }
+  void reverse(ChainBuf& buf, const TransformContext&) override {
+    // Inverse of the client transform: strip our tag from the front.
     trace_.push_back("args:" + characteristic());
-    if (args.empty() || args.back() != tag_) {
+    if (buf.empty() || buf.view()[0] != tag_) {
       throw QosError(characteristic() + ": bad nesting");
     }
-    args.pop_back();
-    return args;
+    buf.drop_front(1);
   }
-  util::Bytes transform_result(util::Bytes result,
-                               orb::ServerContext&) override {
+  void forward(ChainBuf& buf, const TransformContext&) override {
     trace_.push_back("result:" + characteristic());
-    result.push_back(tag_);
-    return result;
+    if (buf.headroom() < 1) {
+      // First stage over the borrowed body: move the payload into an
+      // arena region with room for this tag and every later one.
+      const std::size_t reserve = buf.reserve_front();
+      const std::size_t n = buf.size();
+      std::span<std::uint8_t> region = buf.arena().allocate(reserve + 1 + n);
+      std::copy(buf.view().begin(), buf.view().end(),
+                region.begin() + static_cast<std::ptrdiff_t>(reserve + 1));
+      buf.adopt(region, reserve + 1, n);
+    }
+    *buf.prepend(1) = tag_;
   }
   void dispatch_qos_op(const std::string& op, cdr::Decoder& args,
                        cdr::Encoder& out, orb::ServerContext&) override {
@@ -134,20 +147,20 @@ class MultiDelegateRpcTest : public MultiDelegateTest {
   orb::ObjRef ref_;
 };
 
-/// Client-side mirror of TaggingImpl: appends its tag to the request
-/// body, strips it from the reply.
+/// Client-side mirror of TaggingImpl: tags the front of the request body,
+/// strips the tag from the front of the reply.
 class TaggingMediator : public Mediator {
  public:
   TaggingMediator(const std::string& name, std::uint8_t tag)
       : Mediator(name), tag_(tag) {}
   void outbound(orb::RequestMessage& req, orb::ObjRef&) override {
-    req.body.push_back(tag_);
+    req.body.insert(req.body.begin(), tag_);
   }
   void inbound(const orb::RequestMessage&, orb::ReplyMessage& rep) override {
     if (rep.status != orb::ReplyStatus::kOk) return;
     ASSERT_FALSE(rep.body.empty());
-    ASSERT_EQ(rep.body.back(), tag_);
-    rep.body.pop_back();
+    ASSERT_EQ(rep.body.front(), tag_);
+    rep.body.erase(rep.body.begin());
   }
 
  private:
@@ -155,8 +168,8 @@ class TaggingMediator : public Mediator {
 };
 
 TEST_F(MultiDelegateRpcTest, TransformNestingMatchesMediatorChain) {
-  // Client chain [A, B]: outbound appends A then B (B outermost).
-  // Server must strip B first (reverse install order on args) and append
+  // Client chain [A, B]: outbound prepends A then B (B outermost).
+  // Server must strip B first (reverse install order on args) and tag
   // results in install order (A then B) so the client chain unwinds.
   servant_->install_impl(std::make_shared<TaggingImpl>("A", 0xA, trace_));
   servant_->install_impl(std::make_shared<TaggingImpl>("B", 0xB, trace_));

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "characteristics/actuality.hpp"
 #include "characteristics/compression.hpp"
 #include "characteristics/encryption.hpp"
 #include "core/mediator.hpp"
@@ -41,7 +42,8 @@ Agreement make_agreement(const std::string& characteristic,
 /// mediators on the stub, matching impls in the skeleton, QoS transports
 /// on both ORBs, one shared recorder so client and server spans land in
 /// the same ring. Everything is seeded deterministically (Network default
-/// seed), so two instances replay identically.
+/// seed), so two instances replay identically. `with_actuality` weaves a
+/// stage-less Actuality member in front of the two, on both sides.
 struct WovenWorld {
   sim::EventLoop loop;
   net::Network network{loop};
@@ -55,7 +57,7 @@ struct WovenWorld {
       std::make_shared<CompositeMediator>();
   orb::ObjRef ref;
 
-  WovenWorld() {
+  explicit WovenWorld(bool with_actuality = false) {
     recorder.set_enabled(true);
     server.set_trace_recorder(&recorder);
     client.set_trace_recorder(&recorder);
@@ -66,8 +68,28 @@ struct WovenWorld {
     compression.characteristic = characteristics::compression_name();
     orb::QosProfile encryption;
     encryption.characteristic = characteristics::encryption_name();
-    ref = server.adapter().activate("echo", servant,
-                                    {compression, encryption});
+    std::vector<orb::QosProfile> profiles{compression, encryption};
+    if (with_actuality) {
+      servant->assign_characteristic(characteristics::actuality_descriptor());
+      orb::QosProfile actuality;
+      actuality.characteristic = characteristics::actuality_name();
+      profiles.push_back(actuality);
+    }
+    ref = server.adapter().activate("echo", servant, profiles);
+
+    if (with_actuality) {
+      const Agreement actuality_agreement = make_agreement(
+          characteristics::actuality_name(),
+          {{"max_age_ms", cdr::Any::from_long(100)}});
+      auto actuality_mediator =
+          std::make_shared<characteristics::ActualityMediator>(loop);
+      actuality_mediator->bind_agreement(actuality_agreement);
+      mediator->add(actuality_mediator);
+      auto actuality_impl =
+          std::make_shared<characteristics::ActualityImpl>(loop);
+      actuality_impl->bind_agreement(actuality_agreement);
+      servant->install_impl(actuality_impl);
+    }
 
     const Agreement compress_agreement = make_agreement(
         characteristics::compression_name(),
@@ -158,6 +180,25 @@ TEST(TracingIntegrationTest, WovenRequestProducesSingleCompleteTrace) {
     }
   }
   EXPECT_TRUE(saw_compression);
+}
+
+// A stage-less member in the composite: every characteristic still emits
+// one mediator span per direction and one prolog/epilog pair, while the
+// transform spans come only from the delegates that have a payload stage.
+TEST(TracingIntegrationTest, MixedCompositeSpansPerCall) {
+  WovenWorld world(/*with_actuality=*/true);
+  EchoStub stub = world.make_stub();
+  for (std::int32_t call = 0; call < 2; ++call) {
+    world.recorder.clear();
+    EXPECT_EQ(stub.add(call, 1), call + 1);  // not cacheable: hits the wire
+    const std::vector<trace::Span> spans = world.recorder.spans();
+    EXPECT_EQ(count_name(spans, "mediator.outbound"), 3);
+    EXPECT_EQ(count_name(spans, "mediator.inbound"), 3);
+    EXPECT_EQ(count_name(spans, "skeleton.prolog"), 3);
+    EXPECT_EQ(count_name(spans, "skeleton.epilog"), 3);
+    EXPECT_EQ(count_name(spans, "skeleton.transform_args"), 2);
+    EXPECT_EQ(count_name(spans, "skeleton.transform_result"), 2);
+  }
 }
 
 // Minimal recursive-descent JSON reader: enough to prove the export is

@@ -19,8 +19,9 @@ CharacteristicDescriptor fake_characteristic(const std::string& name) {
       {QosOpDesc{"qos_" + name + "_op", QosOpKind::kMechanism}});
 }
 
-/// Records the weaving order and tags payloads.
-class TracingImpl : public QosImpl {
+/// Records the weaving order; its own identity payload stage logs the
+/// argument (reverse) and result (forward) transforms.
+class TracingImpl : public QosImpl, public StreamingTransform {
  public:
   explicit TracingImpl(const std::string& characteristic,
                        std::vector<std::string>& trace)
@@ -28,14 +29,14 @@ class TracingImpl : public QosImpl {
 
   void prolog(orb::ServerContext&) override { trace_.push_back("prolog"); }
   void epilog(orb::ServerContext&) override { trace_.push_back("epilog"); }
-  util::Bytes transform_args(util::Bytes args, orb::ServerContext&) override {
+  StreamingTransform* streaming_transform() override { return this; }
+  const std::string& label() const override { return characteristic(); }
+  std::size_t forward_overhead() const noexcept override { return 0; }
+  void reverse(ChainBuf&, const TransformContext&) override {
     trace_.push_back("args");
-    return args;
   }
-  util::Bytes transform_result(util::Bytes result,
-                               orb::ServerContext&) override {
+  void forward(ChainBuf&, const TransformContext&) override {
     trace_.push_back("result");
-    return result;
   }
   void dispatch_qos_op(const std::string& op, cdr::Decoder& args,
                        cdr::Encoder& out, orb::ServerContext&) override {

@@ -10,9 +10,9 @@
 // the chain against them over randomized payloads, for every stack shape
 // ({RLE, LZ77} x {cipher on/off} x {MAC on/off}), both directions.
 //
-// A second group pins the composite-mediator fusing decision: a chain
-// fused into one arena run and the per-mediator fallback loop (forced by
-// one stage-less member) must produce identical request and reply bodies.
+// A last group pins the composite mediator against the same reference:
+// its one fused run must seal request frames byte-identical to the legacy
+// stack and open legacy reply frames, wherever a stage-less member sits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -341,10 +341,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::string("lz77")),
                        ::testing::Bool()));
 
-// ---- fused vs per-mediator composite paths ----
+// ---- composite mediator vs legacy frames ----
 
-/// A mediator with no streaming stage: adding it to a composite forces
-/// the legacy per-mediator outbound()/inbound() loop.
+/// A mediator with hooks but no payload stage: wherever it sits in a
+/// composite, the other members' stages still fuse into one run.
 class PassThroughMediator final : public core::Mediator {
  public:
   PassThroughMediator() : core::Mediator("PassThrough") {}
@@ -368,59 +368,61 @@ core::Agreement encryption_agreement(const std::string& psk) {
   return agreement;
 }
 
-std::shared_ptr<core::CompositeMediator> woven_composite(bool fused) {
-  auto composite = std::make_shared<core::CompositeMediator>();
+/// Compression then encryption, with a PassThroughMediator inserted at
+/// index `pass_through` (none when negative).
+std::shared_ptr<core::CompositeMediator> woven_composite(int pass_through) {
   auto compression =
       std::make_shared<characteristics::CompressionMediator>();
   compression->bind_agreement(compression_agreement());
   auto encryption = std::make_shared<characteristics::EncryptionMediator>();
   encryption->bind_agreement(encryption_agreement("fused-vs-legacy"));
-  composite->add(compression);
-  composite->add(encryption);
-  if (!fused) composite->add(std::make_shared<PassThroughMediator>());
+  std::vector<std::shared_ptr<core::Mediator>> members{compression,
+                                                       encryption};
+  if (pass_through >= 0) {
+    members.insert(members.begin() + pass_through,
+                   std::make_shared<PassThroughMediator>());
+  }
+  auto composite = std::make_shared<core::CompositeMediator>();
+  for (auto& member : members) composite->add(std::move(member));
   return composite;
 }
 
-/// Server-sealed reply frame for the woven stack above — compress then
-/// encrypt under the reply nonce — built from the legacy reference
-/// helpers with the same defaults the mediators bound (lz77, min_size
-/// 64, integrity on, the "fused-vs-legacy" pre-shared key).
-util::Bytes seal_reply(util::BytesView payload, std::uint64_t request_id) {
+/// Legacy frame of the woven stack above — compress, then encrypt under
+/// the request or reply nonce — with the same defaults the mediators
+/// bound (lz77, min_size 64, integrity on, the "fused-vs-legacy"
+/// pre-shared key).
+util::Bytes legacy_seal(util::BytesView payload, std::uint64_t request_id,
+                        bool reply) {
   const std::unique_ptr<compress::Codec> codec = compress::make_codec("lz77");
   const crypto::Key128 key =
       crypto::derive_key(util::to_bytes("fused-vs-legacy"));
-  return legacy_encrypt(key, true, 0, legacy_nonce(request_id, true),
+  return legacy_encrypt(key, true, 0, legacy_nonce(request_id, reply),
                         legacy_compress(*codec, kMinSize, payload));
 }
 
-TEST(StreamingEquivalenceTest, FusedCompositeMatchesPerMediatorLoop) {
-  auto fused = woven_composite(true);
-  auto legacy = woven_composite(false);
-  util::Rng rng(4242);
+TEST(StreamingEquivalenceTest, CompositeMatchesLegacyFrames) {
+  for (const int pass_through : {-1, 0, 1, 2}) {
+    auto composite = woven_composite(pass_through);
+    util::Rng rng(4242);
+    for (int i = 0; i < 25; ++i) {
+      const util::Bytes payload = random_payload(rng, 4096);
+      orb::RequestMessage req;
+      req.request_id = 1000 + static_cast<std::uint64_t>(i);
+      req.body = payload;
+      orb::ObjRef target;
+      composite->outbound(req, target);
+      ASSERT_EQ(req.body, legacy_seal(payload, req.request_id, false))
+          << "pass_through=" << pass_through << " i=" << i;
 
-  for (int i = 0; i < 25; ++i) {
-    const util::Bytes payload = random_payload(rng, 4096);
-    orb::RequestMessage fused_req;
-    fused_req.request_id = 1000 + static_cast<std::uint64_t>(i);
-    fused_req.body = payload;
-    orb::RequestMessage legacy_req = fused_req;
-    orb::ObjRef target;
-
-    fused->outbound(fused_req, target);
-    legacy->outbound(legacy_req, target);
-    ASSERT_EQ(fused_req.body, legacy_req.body) << "i=" << i;
-
-    // Reply path: hand both composites the same server-sealed reply
-    // frame; the fused reverse run and the per-mediator loop must agree
-    // on its inverse.
-    orb::ReplyMessage fused_rep;
-    fused_rep.status = orb::ReplyStatus::kOk;
-    fused_rep.body = seal_reply(payload, fused_req.request_id);
-    orb::ReplyMessage legacy_rep = fused_rep;
-    fused->inbound(fused_req, fused_rep);
-    legacy->inbound(legacy_req, legacy_rep);
-    ASSERT_EQ(fused_rep.body, legacy_rep.body) << "i=" << i;
-    ASSERT_EQ(fused_rep.body, payload) << "i=" << i;
+      // Reply path: a server-sealed legacy frame must invert back to the
+      // payload.
+      orb::ReplyMessage rep;
+      rep.status = orb::ReplyStatus::kOk;
+      rep.body = legacy_seal(payload, req.request_id, true);
+      composite->inbound(req, rep);
+      ASSERT_EQ(rep.body, payload)
+          << "pass_through=" << pass_through << " i=" << i;
+    }
   }
 }
 
