@@ -1,21 +1,28 @@
-// The full infrastructure-service stack of §2.2 in one scenario:
-// trading, negotiation (with client preference hierarchies), monitoring
-// via the woven path, and accounting.
+// The infrastructure services of §2.2 and the outlook of §6 in one
+// scenario, assembled from mechanisms the framework already has:
 //
-//   1. two providers export QoS-enabled offers to a trader
-//   2. a client discovers candidates by characteristic
-//   3. a preference hierarchy (gold/silver/bronze) negotiates the best
-//      admissible level against each candidate, picking the highest
-//      utility ("client preferences have to be incorporated in the
-//      negotiation process", paper §6)
-//   4. usage is metered and priced per agreement
+//   1. trading: two providers register their QoS-enabled offers with the
+//      naming directory on the market host, under the name of the
+//      characteristic their interface carries
+//   2. discovery: a client looks the characteristic up and gets one
+//      candidate per provider
+//   3. preferences: the client walks its preference list (gold, then
+//      silver) against every candidate with bounded negotiation, so a
+//      counter-offer outside a level's bounds falls through to the next
+//      level ("client preferences have to be incorporated in the
+//      negotiation process", paper §6), and keeps the best offer
+//   4. accounting: usage under the chosen agreement is metered and priced
+//   5. the catalog (§6): one line per characteristic the registry knows
+//
+// Tariffs and preference orders are application policy, so they live in
+// the application. Exits 0 only when every step came out as described.
+#include <algorithm>
 #include <iostream>
 
 #include "characteristics/compression.hpp"
-#include "core/accounting.hpp"
-#include "core/catalog_doc.hpp"
-#include "core/preference.hpp"
-#include "core/trader.hpp"
+#include "core/negotiation.hpp"
+#include "naming/directory.hpp"
+#include "naming/directory_client.hpp"
 #include "net/network.hpp"
 #include "support/qos_echo_example.hpp"
 
@@ -50,6 +57,22 @@ Provider make_provider(net::Network& network, const std::string& host,
   return p;
 }
 
+/// One level of the client's preference list, most preferred first.
+struct PreferenceLevel {
+  std::string label;
+  std::int32_t level = 0;  // proposed compression level
+  /// Counter-offers outside these bounds are refused.
+  core::ClientPreferences bounds;
+};
+
+/// A provider's offer: the first level of the list it admitted.
+struct Offer {
+  std::string provider;
+  std::size_t rank = 0;  // index into the preference list
+  core::Agreement agreement;
+  std::unique_ptr<examples::TelemetryStub> stub;
+};
+
 }  // namespace
 
 int main() {
@@ -57,92 +80,133 @@ int main() {
   net::Network network(loop);
   core::ProviderRegistry providers;
   providers.add(characteristics::make_compression_provider());
+  const std::string& characteristic = characteristics::compression_name();
 
-  // --- the marketplace: a trader on its own host ---
+  // --- the marketplace: a naming directory on its own host ---
   orb::Orb market(network, "market", 7000);
-  core::Trader trader;
-  market.adapter().activate(core::TraderServant::object_key(),
-                            std::make_shared<core::TraderServant>(trader));
+  market.adapter().activate(naming::directory_object_key(),
+                            std::make_shared<naming::ServiceDirectory>(loop));
 
-  // --- two providers with different capacity export offers ---
+  // --- two providers with different capacity register their offers ---
+  // The service name is the characteristic. Equal epochs keep
+  // registration order in the lookup, so provider-big comes first.
   Provider big = make_provider(network, "provider-big", 200.0, providers);
   Provider small = make_provider(network, "provider-small", 20.0, providers);
-  core::TraderClient big_exporter(*big.orb, market.endpoint());
-  core::TraderClient small_exporter(*small.orb, market.endpoint());
-  big_exporter.export_offer({big.ref, {}, {{"tier", "premium"}}});
-  small_exporter.export_offer({small.ref, {}, {{"tier", "budget"}}});
-  std::cout << "market: 2 offers exported\n";
+  for (const Provider* p : {&big, &small}) {
+    naming::DirectoryClient(*p->orb, market.endpoint())
+        .register_member(characteristic, p->ref.repo_id,
+                         {p->ref.endpoint, p->ref.object_key}, 0.0, 0);
+  }
+  std::cout << "market: 2 offers registered\n";
 
-  // --- the client discovers and negotiates by preference ---
+  // --- the client discovers candidates by characteristic ---
   orb::Orb client(network, "client", 5000);
   core::QosTransport client_transport(client);
   core::Negotiator negotiator(client_transport, providers);
-  core::TraderClient discovery(client, market.endpoint());
+  std::vector<orb::ObjRef> candidates;
+  const auto view =
+      naming::DirectoryClient(client, market.endpoint()).lookup(characteristic);
+  for (std::size_t i = 0; view && i < view->ref.profile_count(); ++i) {
+    // The directory carries no QoS tags; the characteristic is the
+    // service name, so each candidate gets it back.
+    const orb::AltProfile profile = view->ref.profile(i);
+    candidates.push_back(orb::ObjRef{.repo_id = view->ref.repo_id,
+                                     .endpoint = profile.endpoint,
+                                     .object_key = profile.object_key,
+                                     .qos = {{characteristic, {}}},
+                                     .alternates = {}});
+  }
+  std::cout << "client: directory returned " << candidates.size()
+            << " candidates for " << characteristic << "\n";
 
-  const auto candidates =
-      discovery.query(characteristics::compression_name());
-  std::cout << "client: trader returned " << candidates.size()
-            << " candidates for Compression\n";
-
-  core::PreferenceHierarchy hierarchy;
-  core::ContractProposal gold;
-  gold.label = "gold";
-  gold.utility = 1.0;
-  gold.params = {{"level", cdr::Any::from_long(128)}};
+  // Gold wants a heavy level and only lz77: a provider that can afford
+  // the level only with a cheaper algorithm falls through to silver.
+  PreferenceLevel gold{"gold", 128, {}};
   gold.bounds.bounds["level"] = {.min = 100, .max = std::nullopt};
-  hierarchy.add(gold);
-  core::ContractProposal silver;
-  silver.label = "silver";
-  silver.utility = 0.5;
-  silver.params = {{"level", cdr::Any::from_long(16)}};
+  gold.bounds.allowed["algorithm"] = {cdr::Any::from_string("lz77")};
+  PreferenceLevel silver{"silver", 16, {}};
   silver.bounds.bounds["level"] = {.min = 8, .max = std::nullopt};
-  hierarchy.add(silver);
+  const std::vector<PreferenceLevel> preferences = {gold, silver};
 
-  // Negotiate the hierarchy against every candidate; keep the best.
-  std::optional<core::PreferredAgreement> best;
-  std::unique_ptr<examples::TelemetryStub> best_stub;
+  // --- each provider's offer is the first level it admits ---
+  std::vector<Offer> offers;
   for (const orb::ObjRef& candidate : candidates) {
     auto stub = std::make_unique<examples::TelemetryStub>(client, candidate);
-    try {
-      core::PreferredAgreement result = core::negotiate_preferred(
-          negotiator, *stub, characteristics::compression_name(), hierarchy);
-      std::cout << "client: " << candidate.endpoint.node << " admits '"
-                << result.label << "' (level "
-                << result.agreement.int_param("level") << ")\n";
-      if (!best || result.utility > best->utility) {
-        if (best) negotiator.terminate(*best_stub, best->agreement);
-        best = std::move(result);
-        best_stub = std::move(stub);
-      } else {
-        negotiator.terminate(*stub, result.agreement);
+    const std::string& node = candidate.endpoint.node;
+    for (std::size_t rank = 0; rank < preferences.size(); ++rank) {
+      const PreferenceLevel& level = preferences[rank];
+      try {
+        core::Agreement agreement = negotiator.negotiate(
+            *stub, characteristic,
+            {{"level", cdr::Any::from_long(level.level)}}, &level.bounds);
+        std::cout << "client: " << node << " admits '" << level.label
+                  << "' (level " << agreement.int_param("level") << ")\n";
+        offers.push_back({node, rank, std::move(agreement), std::move(stub)});
+        break;
+      } catch (const core::NegotiationFailed&) {
       }
-    } catch (const core::NegotiationFailed& e) {
-      std::cout << "client: " << candidate.endpoint.node
-                << " rejected every level\n";
     }
+    // An admitted level took the stub along with the offer.
+    if (stub) std::cout << "client: " << node << " rejected every level\n";
   }
-  std::cout << "client: selected '" << best->label << "' utility "
-            << best->utility << "\n";
+  if (offers.empty()) {
+    std::cerr << "marketplace: no provider admitted any level\n";
+    return 1;
+  }
+
+  // --- keep the best offer, release the rest ---
+  const auto best = std::min_element(
+      offers.begin(), offers.end(),
+      [](const Offer& a, const Offer& b) { return a.rank < b.rank; });
+  for (const Offer& offer : offers) {
+    if (&offer != &*best) negotiator.terminate(*offer.stub, offer.agreement);
+  }
+  std::cout << "client: selected '" << preferences[best->rank].label
+            << "' (level " << best->agreement.int_param("level") << ", "
+            << best->agreement.string_param("algorithm") << ")\n";
 
   // --- metered usage under the chosen agreement ---
-  core::AccountingService accounting(loop);
-  accounting.open(best->agreement);
+  // Tariff: 0.01 credits per level-second under agreement plus 2 credits
+  // per MiB delivered.
+  const sim::TimePoint opened = loop.now();
+  std::uint64_t requests = 0;
+  std::uint64_t bytes = 0;
   for (int i = 0; i < 20; ++i) {
-    const auto archive = best_stub->fetch_archive();
-    accounting.charge(best->agreement.id, archive.size());
+    bytes += best->stub->fetch_archive().size();
+    ++requests;
     loop.run_for(100 * sim::kMillisecond);
   }
-  accounting.close(best->agreement.id);
-  const core::UsageRecord* usage = accounting.usage(best->agreement.id);
-  std::cout << "accounting: " << usage->requests << " requests, "
-            << usage->bytes << " bytes, invoice "
-            << accounting.invoice(best->agreement.id,
-                                  core::linear_tariff(0.01, 2.0))
+  const double level_seconds =
+      static_cast<double>(best->agreement.int_param("level")) *
+      sim::to_seconds(loop.now() - opened);
+  const double mebibytes = static_cast<double>(bytes) / (1024.0 * 1024.0);
+  std::cout << "accounting: " << requests << " requests, " << bytes
+            << " bytes, invoice " << 0.01 * level_seconds + 2.0 * mebibytes
             << " credits\n";
 
   // --- the catalog (paper §6) ---
-  const std::string catalog = core::catalog_markdown(providers);
-  std::cout << "catalog preview:\n"
-            << catalog.substr(0, catalog.find('\n', 80)) << "...\n";
-  return best->label == "gold" ? 0 : 1;
+  const core::CharacteristicCatalog catalog = providers.catalog();
+  for (const std::string& name : catalog.names()) {
+    const core::CharacteristicDescriptor& entry = catalog.get(name);
+    std::cout << "catalog: " << name << " ("
+              << core::qos_category_name(entry.category()) << "): "
+              << entry.params().size() << " params, "
+              << entry.dimensions().size() << " dimensions, "
+              << entry.operations().size() << " QoS operations\n";
+  }
+
+  const auto admitted = [&](const std::string& node, std::size_t rank) {
+    return std::any_of(offers.begin(), offers.end(), [&](const Offer& o) {
+      return o.provider == node && o.rank == rank;
+    });
+  };
+  const bool held = candidates.size() == 2 && admitted("provider-big", 0) &&
+                    admitted("provider-small", 1) && best->rank == 0 &&
+                    requests == 20 && bytes == 400'000;
+  if (!held) {
+    std::cerr << "marketplace: expected 2 candidates, provider-big at gold, "
+                 "provider-small at silver, gold selected and 20 requests / "
+                 "400000 bytes metered\n";
+  }
+  return held ? 0 : 1;
 }

@@ -51,6 +51,10 @@ ActualityMediator::ActualityMediator(sim::EventLoop& loop)
     : core::Mediator(actuality_name()), loop_(loop) {}
 
 void ActualityMediator::bind_agreement(const core::Agreement& agreement) {
+  const core::Agreement& bound = this->agreement();
+  const bool changed = agreement.id != bound.id ||
+                       agreement.version() != bound.version() ||
+                       agreement.params != bound.params;
   core::Mediator::bind_agreement(agreement);
   max_age_ = agreement.int_param_or("max_age_ms", 100) *
              freshness_scale(agreement.string_param_or("freshness", "tight")) *
@@ -60,8 +64,10 @@ void ActualityMediator::bind_agreement(const core::Agreement& agreement) {
        util::split(agreement.string_param_or("cacheable_ops", ""), ',')) {
     if (!op.empty()) cacheable_ops_.insert(op);
   }
-  // A renegotiated freshness bound must not resurrect stale entries.
-  cache_.clear();
+  // A renegotiated freshness bound must not resurrect stale entries. A
+  // rebind under the same agreement (the composite re-versioning its
+  // channel when another characteristic is woven) keeps them.
+  if (changed) cache_.clear();
 }
 
 bool ActualityMediator::cacheable(const std::string& operation) const {

@@ -7,32 +7,21 @@
 
 namespace maqs::compress {
 
-std::size_t Codec::compress_into(util::BytesView input,
-                                 std::span<std::uint8_t> out) const {
-  const util::Bytes compressed = compress(input);
-  if (compressed.size() >= out.size()) return out.size();
-  if (!compressed.empty()) {
-    std::memcpy(out.data(), compressed.data(), compressed.size());
-  }
-  return compressed.size();
+util::Bytes Codec::compress(util::BytesView input) const {
+  util::Bytes out(max_compressed_size(input.size()) + 1);
+  out.resize(compress_into(input, out));
+  return out;
 }
 
-void Codec::decompress_append(util::BytesView input, util::Bytes& out) const {
-  const util::Bytes plain = decompress(input);
-  out.insert(out.end(), plain.begin(), plain.end());
+util::Bytes Codec::decompress(util::BytesView input) const {
+  util::Bytes out;
+  decompress_append(input, out);
+  return out;
 }
 
 const std::string& IdentityCodec::name() const {
   static const std::string kName = "identity";
   return kName;
-}
-
-util::Bytes IdentityCodec::compress(util::BytesView input) const {
-  return util::Bytes(input.begin(), input.end());
-}
-
-util::Bytes IdentityCodec::decompress(util::BytesView input) const {
-  return util::Bytes(input.begin(), input.end());
 }
 
 std::size_t IdentityCodec::max_compressed_size(std::size_t n) const {

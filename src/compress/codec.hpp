@@ -6,18 +6,15 @@
 // exact round-trip codecs; compress() never fails, decompress() throws
 // CodecError on corrupt input.
 //
-// Two call shapes coexist:
-//   - the legacy one-shot API (compress/decompress returning fresh Bytes),
-//     kept for tools and tests;
-//   - the streaming API (compress_into/decompress_append) used by the
-//     zero-copy transform chain: the caller provides the output storage,
-//     so the hot path never materializes an intermediate vector per stage.
-//     compress_into treats that storage as a budget and gives up as soon
-//     as the stream cannot come in under it, so a stage that only keeps
-//     streams shorter than the payload never pays for one it would
-//     discard.
-// Both produce byte-identical streams; the one-shot entry points are thin
-// wrappers over the streaming ones.
+// Each codec implements one call shape, the streaming one
+// (compress_into/decompress_append) the zero-copy transform chain uses:
+// the caller provides the output storage, so the hot path never
+// materializes an intermediate vector per stage. compress_into treats
+// that storage as a budget and gives up as soon as the stream cannot come
+// in under it, so a stage that only keeps streams shorter than the
+// payload never pays for one it would discard. compress()/decompress()
+// return fresh Bytes for tools and tests; they are fixed wrappers over
+// the streaming calls, so both shapes produce the same stream.
 #pragma once
 
 #include <memory>
@@ -38,10 +35,11 @@ class Codec {
  public:
   virtual ~Codec() = default;
   virtual const std::string& name() const = 0;
-  virtual util::Bytes compress(util::BytesView input) const = 0;
-  virtual util::Bytes decompress(util::BytesView input) const = 0;
 
-  // ---- streaming API (zero-copy transform chain) ----
+  /// The whole stream in a fresh vector.
+  util::Bytes compress(util::BytesView input) const;
+  /// The decompressed input in a fresh vector.
+  util::Bytes decompress(util::BytesView input) const;
 
   /// Upper bound on the stream length for `n` input bytes: a budget of
   /// max_compressed_size(n) + 1 always holds the whole stream.
@@ -51,24 +49,20 @@ class Codec {
   /// budget; nothing is written past it. Returns the stream length when
   /// the stream is shorter than the budget, else `out.size()` (the
   /// content of `out` is then unspecified), as early as the codec can
-  /// tell. Default bridges through the one-shot compress().
+  /// tell.
   virtual std::size_t compress_into(util::BytesView input,
-                                    std::span<std::uint8_t> out) const;
+                                    std::span<std::uint8_t> out) const = 0;
 
   /// Decompresses `input`, appending to `out` (existing content is
   /// preserved; back-references never reach across the append point).
-  /// Default bridges through the one-shot decompress().
   virtual void decompress_append(util::BytesView input,
-                                 util::Bytes& out) const;
+                                 util::Bytes& out) const = 0;
 };
 
 /// Identity codec (baseline: "no compression" with the same call shape).
 class IdentityCodec final : public Codec {
  public:
   const std::string& name() const override;
-  util::Bytes compress(util::BytesView input) const override;
-  util::Bytes decompress(util::BytesView input) const override;
-
   std::size_t max_compressed_size(std::size_t n) const override;
   std::size_t compress_into(util::BytesView input,
                             std::span<std::uint8_t> out) const override;

@@ -87,18 +87,6 @@ std::size_t Lz77Codec::max_compressed_size(std::size_t n) const {
   return n + 3 * ((n + kMaxLiteralRun - 1) / kMaxLiteralRun);
 }
 
-util::Bytes Lz77Codec::compress(util::BytesView input) const {
-  util::Bytes out(max_compressed_size(input.size()) + 1);
-  out.resize(compress_into(input, out));
-  return out;
-}
-
-util::Bytes Lz77Codec::decompress(util::BytesView input) const {
-  util::Bytes out;
-  decompress_append(input, out);
-  return out;
-}
-
 std::size_t Lz77Codec::compress_into(util::BytesView input,
                                      std::span<std::uint8_t> out) const {
   const std::size_t budget = out.size();

@@ -32,8 +32,6 @@ class Lz77Codec final : public Codec {
   explicit Lz77Codec(int max_probes = 32) : max_probes_(max_probes) {}
 
   const std::string& name() const override;
-  util::Bytes compress(util::BytesView input) const override;
-  util::Bytes decompress(util::BytesView input) const override;
 
   /// Stored-form bound: n + 3 bytes of framing per 64 KiB literal run.
   std::size_t max_compressed_size(std::size_t n) const override;

@@ -42,18 +42,6 @@ const std::string& RleCodec::name() const {
   return kName;
 }
 
-util::Bytes RleCodec::compress(util::BytesView input) const {
-  util::Bytes out(max_compressed_size(input.size()) + 1);
-  out.resize(compress_into(input, out));
-  return out;
-}
-
-util::Bytes RleCodec::decompress(util::BytesView input) const {
-  util::Bytes out;
-  decompress_append(input, out);
-  return out;
-}
-
 std::size_t RleCodec::max_compressed_size(std::size_t n) const { return 2 * n; }
 
 std::size_t RleCodec::compress_into(util::BytesView input,

@@ -12,8 +12,6 @@ namespace maqs::compress {
 class RleCodec final : public Codec {
  public:
   const std::string& name() const override;
-  util::Bytes compress(util::BytesView input) const override;
-  util::Bytes decompress(util::BytesView input) const override;
 
   /// Exact worst case: one (count, byte) pair per input byte.
   std::size_t max_compressed_size(std::size_t n) const override;

@@ -1,7 +1,6 @@
 #include "core/monitoring.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/characteristic.hpp"
 
@@ -36,18 +35,6 @@ double MetricSeries::mean() const {
   double sum = 0;
   for (const auto& [_, v] : samples_) sum += v;
   return sum / static_cast<double>(samples_.size());
-}
-
-double MetricSeries::percentile(double p) const {
-  if (samples_.empty()) throw QosError("metric series: empty");
-  p = std::clamp(p, 0.0, 1.0);
-  std::vector<double> values;
-  values.reserve(samples_.size());
-  for (const auto& [_, v] : samples_) values.push_back(v);
-  std::sort(values.begin(), values.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(values.size())));
-  return values[rank == 0 ? 0 : rank - 1];
 }
 
 MetricSeries& Monitor::series(const std::string& metric) {

@@ -31,8 +31,6 @@ class MetricSeries {
   double min() const;
   double max() const;
   double mean() const;
-  /// p in [0,1]; nearest-rank on the retained window.
-  double percentile(double p) const;
 
  private:
   std::size_t capacity_;

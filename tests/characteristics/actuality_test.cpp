@@ -267,6 +267,23 @@ TEST_P(StackedActualityTest, RepeatedReadsServedFromCache) {
   EXPECT_EQ(stacked_->calls - calls_after_fill, 0);
 }
 
+TEST_F(StackedActualityTest, WeavingAnotherCharacteristicKeepsTheCache) {
+  // Each weave re-versions the channel and rebinds Actuality under its
+  // unchanged agreement; that rebind must not drop the cached entries.
+  core::NegotiationService negotiation(server_transport_, providers_,
+                                       resources_);
+  core::Negotiator negotiator(client_transport_, providers_);
+  EchoStub stub(client_, stacked_ref_);
+  negotiator.negotiate(stub, actuality_name(), params_for(actuality_name()));
+  EXPECT_EQ(stub.echo("reading=21.5"), "reading=21.5");  // fills the cache
+  for (const std::string& name : {compression_name(), encryption_name()}) {
+    negotiator.negotiate(stub, name, params_for(name));
+  }
+  const int calls_after_weave = stacked_->calls;
+  EXPECT_EQ(stub.echo("reading=21.5"), "reading=21.5");
+  EXPECT_EQ(stacked_->calls - calls_after_weave, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Orders, StackedActualityTest,
     ::testing::Values(

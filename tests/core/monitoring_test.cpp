@@ -17,21 +17,11 @@ TEST(MetricSeries, Statistics) {
   EXPECT_EQ(series.mean(), 2.5);
 }
 
-TEST(MetricSeries, Percentiles) {
-  MetricSeries series;
-  for (int i = 1; i <= 100; ++i) series.record(0, i);
-  EXPECT_EQ(series.percentile(0.5), 50.0);
-  EXPECT_EQ(series.percentile(0.99), 99.0);
-  EXPECT_EQ(series.percentile(1.0), 100.0);
-  EXPECT_EQ(series.percentile(0.0), 1.0);
-}
-
 TEST(MetricSeries, EmptyThrows) {
   MetricSeries series;
   EXPECT_TRUE(series.empty());
   EXPECT_THROW(series.last(), QosError);
   EXPECT_THROW(series.mean(), QosError);
-  EXPECT_THROW(series.percentile(0.5), QosError);
 }
 
 TEST(MetricSeries, BoundedWindow) {

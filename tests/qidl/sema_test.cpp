@@ -187,6 +187,20 @@ TEST(Sema, BindRejectsUnknownTargets) {
                QidlError);
 }
 
+TEST(Sema, BindRejectsFinerThanInterface) {
+  // "QoS specifications in QIDL can be assigned to interfaces only"
+  // (paper §3.2): the grammar takes one identifier as the target, and
+  // sema accepts only an interface there.
+  const std::string decls = R"(
+    qos characteristic A { mechanism void qos_a(); };
+    interface X { void f(in long x); };
+  )";
+  EXPECT_NO_THROW(analyze(decls + "bind X : A;"));
+  EXPECT_THROW(analyze(decls + "bind X::f : A;"), QidlError);
+  EXPECT_THROW(analyze(decls + "bind X.f : A;"), QidlError);
+  EXPECT_THROW(analyze(decls + "bind f : A;"), QidlError);
+}
+
 TEST(Sema, BindRejectsDoubleBinding) {
   EXPECT_THROW(analyze(R"(
     qos characteristic A { };
