@@ -5,15 +5,22 @@
 // load). Clients run asynchronously so requests genuinely contend on the
 // worker links (bandwidth serialization = queueing).
 //
-// Reports per (workers, policy): makespan, mean and p99 latency.
-// Expected shape: more workers help every policy; on the heterogeneous
-// pool least-loaded < round-robin < random in tail latency, because only
-// least-loaded steers around the degraded worker.
+// Each client ORB runs one naming::ReplicaSelector, the picker the
+// LoadBalancing characteristic binds onto. The async sends bypass the
+// client chain, so every request goes to
+// group.profile(selector.select(group)). Least-loaded is fed by the
+// characteristic's qos_load: every 8 of its own calls a client polls every
+// worker and passes the figures to ReplicaSelector::update_loads.
+//
+// Reports per (workers, policy): makespan, mean and p99 latency. Exits 1
+// unless, at every pool size, least-loaded's p99 is below round-robin's
+// (only least-loaded steers around the degraded worker) and round-robin's
+// makespan falls as the pool grows.
 #include <numeric>
 
 #include "bench/support.hpp"
 #include "characteristics/loadbalancing.hpp"
-#include "util/strings.hpp"
+#include "naming/selector.hpp"
 
 using namespace maqs;
 using namespace maqs::bench;
@@ -26,7 +33,9 @@ struct Result {
   double p99_ms;
 };
 
-Result run(int workers, const std::string& policy) {
+constexpr int kPollInterval = 8;
+
+Result run(int workers, naming::SelectPolicy policy) {
   sim::EventLoop loop;
   net::Network network(loop, 99);
   network.set_default_link(net::LinkParams{
@@ -51,19 +60,19 @@ Result run(int workers, const std::string& policy) {
   // Degrade worker 0: slow links from every client + standing load.
   reporting[0]->add_synthetic_load(50.0);
 
+  // The pool as one replica group: worker 0 primary, the rest alternates.
+  orb::ObjRef group = refs[0];
+  for (std::size_t i = 1; i < refs.size(); ++i) {
+    group.alternates.push_back(
+        orb::AltProfile{refs[i].endpoint, refs[i].object_key});
+  }
+
   const int kClients = 8;
   const int kRequestsPerClient = 50;
   const util::Bytes reply_payload = payload(16 * 1024, 0.0);
 
   std::vector<std::unique_ptr<orb::Orb>> client_orbs;
-  std::vector<std::shared_ptr<characteristics::LoadBalancingMediator>>
-      mediators;
-  std::vector<std::string> iors;
-  for (const auto& ref : refs) iors.push_back(ref.to_string());
-
-  std::vector<double> latencies;
-  int outstanding = 0;
-
+  std::vector<std::unique_ptr<naming::ReplicaSelector>> selectors;
   for (int c = 0; c < kClients; ++c) {
     auto orb = std::make_unique<orb::Orb>(network, "c" + std::to_string(c),
                                           1);
@@ -71,41 +80,49 @@ Result run(int workers, const std::string& policy) {
     network.set_link("c" + std::to_string(c), "w0",
                      net::LinkParams{.latency = 1 * sim::kMillisecond,
                                      .bandwidth_bps = 4e6});  // degraded
-    auto mediator =
-        std::make_shared<characteristics::LoadBalancingMediator>();
-    mediator->attach_orb(orb.get());
-    core::Agreement agreement;
-    agreement.characteristic = characteristics::loadbalancing_name();
-    agreement.params =
-        characteristics::loadbalancing_descriptor().validate_params(
-            {{"policy", cdr::Any::from_string(policy)},
-             {"probe_interval", cdr::Any::from_long(8)},
-             {"replicas",
-              cdr::Any::from_string(util::join(iors, ";"))}});
-    mediator->bind_agreement(agreement);
+    selectors.push_back(std::make_unique<naming::ReplicaSelector>(
+        *orb, naming::SelectorConfig{.policy = policy}));
     client_orbs.push_back(std::move(orb));
-    mediators.push_back(std::move(mediator));
   }
+
+  // qos_load from every worker, in profile order.
+  auto poll_loads = [&](orb::Orb& orb) {
+    std::vector<double> loads;
+    for (const orb::ObjRef& ref : refs) {
+      orb::RequestMessage probe;
+      probe.object_key = ref.object_key;
+      probe.operation = "qos_load";
+      orb::ReplyMessage rep = orb.invoke_plain(ref.endpoint, std::move(probe));
+      cdr::Decoder dec(rep.body);
+      loads.push_back(dec.read_f64());
+    }
+    return loads;
+  };
+
+  std::vector<double> latencies;
 
   // Closed-loop clients: each issues its next request when the previous
   // one completes (callback chaining keeps the 8 clients concurrent).
   std::function<void(int, int)> issue = [&](int client, int remaining) {
     if (remaining == 0) return;
     orb::Orb& orb = *client_orbs[static_cast<std::size_t>(client)];
+    naming::ReplicaSelector& selector =
+        *selectors[static_cast<std::size_t>(client)];
+    if (policy == naming::SelectPolicy::kLeastLoaded &&
+        (kRequestsPerClient - remaining) % kPollInterval == 0) {
+      selector.update_loads(group.object_key, poll_loads(orb));
+    }
+    const orb::AltProfile target = group.profile(selector.select(group));
     orb::RequestMessage req;
     req.operation = "blob";
+    req.object_key = target.object_key;
     cdr::Encoder args;
     args.write_bytes(reply_payload);
     req.body = args.take();
-    orb::ObjRef target = refs[0];
-    mediators[static_cast<std::size_t>(client)]->outbound(req, target);
-    req.object_key = target.object_key;
-    ++outstanding;
     const sim::TimePoint t0 = loop.now();
     orb.send_request(target.endpoint, std::move(req),
                      [&, client, remaining, t0](const orb::ReplyMessage&) {
                        latencies.push_back(sim::to_millis(loop.now() - t0));
-                       --outstanding;
                        issue(client, remaining - 1);
                      });
   };
@@ -130,17 +147,27 @@ int main() {
   std::printf("%8s %13s | %12s %10s %10s\n", "workers", "policy",
               "makespan ms", "mean ms", "p99 ms");
   row_rule();
+  bool ok = true;
+  double previous_rr_makespan = 0;
   for (int workers : {2, 4, 8}) {
-    for (const char* policy : {"round-robin", "random", "least-loaded"}) {
-      const Result r = run(workers, policy);
-      std::printf("%8d %13s | %12.1f %10.2f %10.2f\n", workers, policy,
-                  r.makespan_ms, r.mean_ms, r.p99_ms);
-    }
+    const Result rr = run(workers, naming::SelectPolicy::kRoundRobin);
+    const Result ll = run(workers, naming::SelectPolicy::kLeastLoaded);
+    std::printf("%8d %13s | %12.1f %10.2f %10.2f\n", workers, "round-robin",
+                rr.makespan_ms, rr.mean_ms, rr.p99_ms);
+    std::printf("%8d %13s | %12.1f %10.2f %10.2f\n", workers, "least-loaded",
+                ll.makespan_ms, ll.mean_ms, ll.p99_ms);
     row_rule();
+    ok = ok && ll.p99_ms < rr.p99_ms;
+    ok = ok && (previous_rr_makespan == 0 ||
+                rr.makespan_ms < previous_rr_makespan);
+    previous_rr_makespan = rr.makespan_ms;
   }
   std::printf(
-      "shape check: throughput scales with workers; least-loaded avoids\n"
-      "the degraded worker and wins the tail (paper: 'performance by\n"
-      "load-balancing' as an application-layer mechanism).\n");
-  return 0;
+      "shape check: least-loaded avoids the degraded worker and wins the\n"
+      "tail at every pool size; round-robin's makespan falls as workers\n"
+      "are added. Least-loaded's makespan grows instead: each client's\n"
+      "blocking qos_load poll visits every worker every %d calls.\n"
+      "%s\n",
+      kPollInterval, ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

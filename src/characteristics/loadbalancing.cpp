@@ -1,8 +1,5 @@
 #include "characteristics/loadbalancing.hpp"
 
-#include "orb/dii.hpp"
-#include "util/strings.hpp"
-
 namespace maqs::characteristics {
 
 const std::string& loadbalancing_name() {
@@ -14,10 +11,6 @@ core::CharacteristicDescriptor loadbalancing_descriptor() {
   return core::CharacteristicDescriptor(
       loadbalancing_name(), core::QosCategory::kPerformance,
       {
-          core::ParamDesc{"policy", cdr::TypeCode::string_tc(),
-                          cdr::Any::from_string("round-robin"), {}, {}},
-          core::ParamDesc{"probe_interval", cdr::TypeCode::long_tc(),
-                          cdr::Any::from_long(16), 1, 1 << 16},
           core::ParamDesc{"replicas", cdr::TypeCode::string_tc(),
                           cdr::Any::from_string(""), {}, {}},
       },
@@ -29,84 +22,21 @@ core::CharacteristicDescriptor loadbalancing_descriptor() {
 // ---- mediator ----
 
 LoadBalancingMediator::LoadBalancingMediator()
-    : core::Mediator(loadbalancing_name()), rng_(0xB41A) {}
+    : core::Mediator(loadbalancing_name()) {}
 
 void LoadBalancingMediator::bind_agreement(
     const core::Agreement& agreement) {
   core::Mediator::bind_agreement(agreement);
-  policy_ = agreement.string_param("policy");
-  if (policy_ != "round-robin" && policy_ != "random" &&
-      policy_ != "least-loaded") {
-    throw core::QosError("load balancing: unknown policy '" + policy_ + "'");
-  }
-  probe_interval_ = agreement.int_param("probe_interval");
-  const std::string replica_iors = agreement.string_param("replicas");
-  if (!replica_iors.empty()) {
-    std::vector<orb::ObjRef> replicas;
-    for (const std::string& ior : util::split(replica_iors, ';')) {
-      if (!ior.empty()) replicas.push_back(orb::ObjRef::from_string(ior));
-    }
-    set_replicas(std::move(replicas));
-  }
-}
-
-void LoadBalancingMediator::set_replicas(std::vector<orb::ObjRef> replicas) {
-  replicas_ = std::move(replicas);
-  counts_.assign(replicas_.size(), 0);
-  loads_.assign(replicas_.size(), 0.0);
-  next_ = 0;
-}
-
-std::size_t LoadBalancingMediator::pick() {
-  if (policy_ == "random") {
-    return static_cast<std::size_t>(rng_.next_below(replicas_.size()));
-  }
-  if (policy_ == "least-loaded") {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < loads_.size(); ++i) {
-      if (loads_[i] < loads_[best]) best = i;
-    }
-    return best;
-  }
-  const std::size_t choice = next_;
-  next_ = (next_ + 1) % replicas_.size();
-  return choice;
-}
-
-void LoadBalancingMediator::probe_loads() {
-  if (orb_ == nullptr) return;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    // qos_load is a QoS operation on the replica's QoS skeleton.
-    orb::RequestMessage probe;
-    probe.object_key = replicas_[i].object_key;
-    probe.operation = "qos_load";
-    try {
-      orb::ReplyMessage rep =
-          orb_->invoke_plain(replicas_[i].endpoint, std::move(probe));
-      if (rep.status == orb::ReplyStatus::kOk) {
-        cdr::Decoder dec(rep.body);
-        loads_[i] = dec.read_f64();
-      }
-    } catch (const orb::TransportError&) {
-      loads_[i] = 1e18;  // unreachable replicas effectively drop out
-    }
-  }
+  const std::string group_ior = agreement.string_param("replicas");
+  group_ = group_ior.empty() ? orb::ObjRef{}
+                             : orb::ObjRef::from_string(group_ior);
 }
 
 void LoadBalancingMediator::outbound(orb::RequestMessage& req,
                                      orb::ObjRef& target) {
   (void)req;
-  if (replicas_.empty()) return;  // degenerate: keep the original target
-  if (policy_ == "least-loaded" && (calls_ % static_cast<std::uint64_t>(
-                                        probe_interval_)) == 0) {
-    probe_loads();
-  }
-  ++calls_;
-  const std::size_t choice = pick();
-  ++counts_[choice];
-  target = replicas_[choice];
-  // Local estimate: routing a call there makes it busier until reprobed.
-  if (policy_ == "least-loaded") loads_[choice] += 1.0;
+  // The replica.select stage below picks the group's profile per call.
+  if (!group_.is_nil()) target = group_;
 }
 
 // ---- server impl ----
@@ -116,14 +46,12 @@ LoadReportingImpl::LoadReportingImpl()
 
 void LoadReportingImpl::prolog(orb::ServerContext& ctx) {
   (void)ctx;
-  ++in_flight_;
   // Exponential decay toward the recent request rate.
   load_ = load_ * 0.9 + 1.0;
 }
 
 void LoadReportingImpl::epilog(orb::ServerContext& ctx) {
   (void)ctx;
-  --in_flight_;
   ++served_;
 }
 
@@ -144,11 +72,9 @@ void LoadReportingImpl::dispatch_qos_op(const std::string& op,
 core::CharacteristicProvider make_loadbalancing_provider() {
   core::CharacteristicProvider provider;
   provider.descriptor = loadbalancing_descriptor();
-  provider.make_mediator = [](const core::Agreement&, orb::Orb& orb,
+  provider.make_mediator = [](const core::Agreement&, orb::Orb&,
                               core::QosTransport&) {
-    auto mediator = std::make_shared<LoadBalancingMediator>();
-    mediator->attach_orb(&orb);
-    return mediator;
+    return std::make_shared<LoadBalancingMediator>();
   };
   provider.make_impl = [](const core::Agreement&, orb::Orb&,
                           core::QosTransport&) {

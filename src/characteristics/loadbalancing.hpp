@@ -2,22 +2,28 @@
 // paper §6).
 //
 // An application-centered mechanism (the paper lists load balancing as
-// feasible purely at the application layer, §4): the mediator redirects
-// each intercepted call to one of a set of replica endpoints according to
-// a policy; the server-side QoS implementation measures load in its
-// prolog/epilog bracket and exposes it through the QoS operation
-// qos_load, which the least-loaded policy polls periodically — a
-// mechanism-management op in the paper's taxonomy.
+// feasible purely at the application layer, §4), bound onto the ORB's one
+// replica picker. The agreement names the replica group as one stringified
+// multi-profile IOR — the form ReplicaGroup::group_reference() and
+// directory lookups emit. The mediator re-targets every intercepted call
+// at that group; the client ORB's naming::ReplicaSelector (chain
+// priorities 250/375) then picks a profile per call, skips open-breaker
+// and quarantined ones, and fails over.
 //
-//   param string policy = "round-robin";   // round-robin | random | least-loaded
-//   param long   probe_interval = 16;       // poll qos_load every N calls
+// The client ORB must run one ReplicaSelector, installed like a
+// RetryGovernor; otherwise calls go to the group's primary. The policy
+// (round-robin, least-loaded, locality) is SelectorConfig::policy.
+//
+// The server-side QoS implementation measures load in its prolog and
+// exposes it through the QoS operation qos_load — a mechanism-management
+// op in the paper's taxonomy. Its figures reach the selector through
+// ReplicaSelector::update_loads.
+//
+//   param string replicas = "";   // stringified multi-profile IOR
 //   mechanism double qos_load();
 #pragma once
 
-#include <vector>
-
 #include "core/provider.hpp"
-#include "util/rng.hpp"
 
 namespace maqs::characteristics {
 
@@ -33,34 +39,9 @@ class LoadBalancingMediator final : public core::Mediator {
   void bind_agreement(const core::Agreement& agreement) override;
   void outbound(orb::RequestMessage& req, orb::ObjRef& target) override;
 
-  /// Replica set management (also reachable via the "replicas" agreement
-  /// parameter: ';'-joined stringified IORs).
-  void set_replicas(std::vector<orb::ObjRef> replicas);
-  const std::vector<orb::ObjRef>& replicas() const noexcept {
-    return replicas_;
-  }
-
-  /// Calls routed to each replica index so far (distribution checks).
-  const std::vector<std::uint64_t>& dispatch_counts() const noexcept {
-    return counts_;
-  }
-
-  /// The ORB used for qos_load probes (least-loaded policy).
-  void attach_orb(orb::Orb* orb) noexcept { orb_ = orb; }
-
  private:
-  std::size_t pick();
-  void probe_loads();
-
-  std::string policy_ = "round-robin";
-  std::int64_t probe_interval_ = 16;
-  std::vector<orb::ObjRef> replicas_;
-  std::vector<std::uint64_t> counts_;
-  std::vector<double> loads_;
-  std::size_t next_ = 0;
-  std::uint64_t calls_ = 0;
-  util::Rng rng_;
-  orb::Orb* orb_ = nullptr;
+  /// The agreed replica group; nil keeps the stub's own target.
+  orb::ObjRef group_;
 };
 
 /// Server side: load measurement in the prolog/epilog bracket.
@@ -83,7 +64,6 @@ class LoadReportingImpl final : public core::QosImpl {
  private:
   double load_ = 0;
   std::uint64_t served_ = 0;
-  int in_flight_ = 0;
 };
 
 }  // namespace maqs::characteristics

@@ -83,35 +83,11 @@ std::map<std::string, cdr::Any> decode_params(
 
 OfferReview review_offer(const CharacteristicProvider& provider,
                          ResourceManager& resources,
-                         const AdmissionPolicy& policy,
                          CapabilityMatrix offer,
                          const std::map<std::string, cdr::Any>& proposed) {
   OfferReview review;
   review.scalars = provider.descriptor.validate_params(proposed);
   provider.descriptor.validate_matrix(offer);
-
-  if (policy) {
-    AdmissionDecision decision =
-        policy(provider, flatten_point(review.scalars, offer), resources);
-    review.kind = decision.kind;
-    review.reason = std::move(decision.reason);
-    review.matrix = std::move(offer);
-    if (decision.kind == AdmissionDecision::Kind::kCounter) {
-      for (const auto& [name, value] : decision.counter_params) {
-        if (!review.matrix.choose(name, value)) {
-          review.scalars[name] = value;
-        }
-      }
-    }
-    review.flattened = flatten_point(review.scalars, review.matrix);
-    if (decision.kind == AdmissionDecision::Kind::kAccept &&
-        provider.resource_demand) {
-      // An accepting policy reserved its own demand; record it.
-      review.demand = provider.resource_demand(review.flattened);
-      review.reserved = true;
-    }
-    return review;
-  }
 
   if (!provider.resource_demand) {
     review.kind = AdmissionDecision::Kind::kAccept;
@@ -291,7 +267,7 @@ cdr::Any NegotiationService::handle_negotiate(
   }
   OfferReview review;
   try {
-    review = review_offer(*provider, resources_, policy_,
+    review = review_offer(*provider, resources_,
                           CapabilityMatrix::from_any(arg_any(args, 3)),
                           decode_params(args, 4));
   } catch (const QosError& e) {
@@ -372,7 +348,7 @@ cdr::Any NegotiationService::handle_renegotiate(
 
   OfferReview review;
   try {
-    review = review_offer(provider, resources_, policy_,
+    review = review_offer(provider, resources_,
                           CapabilityMatrix::from_any(arg_any(args, 2)),
                           decode_params(args, 3));
   } catch (const QosError& e) {

@@ -24,7 +24,6 @@
 // the previous agreement version (matrix, params, reservation) intact.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -49,21 +48,10 @@ std::vector<cdr::Any> encode_params(
 std::map<std::string, cdr::Any> decode_params(
     const std::vector<cdr::Any>& anys, std::size_t offset);
 
-/// Admission decision.
+/// Admission outcome of an offer review.
 struct AdmissionDecision {
   enum class Kind { kAccept, kCounter, kReject } kind = Kind::kAccept;
-  /// kCounter: the server's counter-proposal.
-  std::map<std::string, cdr::Any> counter_params;
-  std::string reason;
 };
-
-/// Pluggable admission policy: characteristic + flattened params (scalars
-/// plus chosen dimension values) -> decision. The default (nullptr) walks
-/// the offer's preference lattice against resource-demand admission. A
-/// policy that accepts is responsible for reserving its own demand.
-using AdmissionPolicy = std::function<AdmissionDecision(
-    const CharacteristicProvider&, const std::map<std::string, cdr::Any>&,
-    ResourceManager&)>;
 
 /// Outcome of reviewing one offered capability matrix + scalar params
 /// against a provider's declared capabilities and the resource budget.
@@ -92,10 +80,8 @@ struct OfferReview {
 /// reserved); fitting lower down counters with that point (nothing
 /// reserved); exhausting the lattice falls back to degrading integral
 /// scalar params toward their minima (legacy counter) before rejecting.
-/// A non-null `policy` short-circuits the walk entirely.
 OfferReview review_offer(const CharacteristicProvider& provider,
                          ResourceManager& resources,
-                         const AdmissionPolicy& policy,
                          CapabilityMatrix offer,
                          const std::map<std::string, cdr::Any>& proposed);
 
@@ -110,10 +96,6 @@ class NegotiationService {
 
   AgreementRepository& agreements() noexcept { return agreements_; }
   ResourceManager& resources() noexcept { return resources_; }
-
-  void set_admission_policy(AdmissionPolicy policy) {
-    policy_ = std::move(policy);
-  }
 
   /// Marks the agreement violated and pushes a violation notification to
   /// the client's adaptation handler (QoS-to-QoS over the middleware).
@@ -146,7 +128,6 @@ class NegotiationService {
   const ProviderRegistry& providers_;
   ResourceManager& resources_;
   AgreementRepository agreements_;
-  AdmissionPolicy policy_;
   /// agreement id -> client adaptation endpoint (push channel) and the
   /// demand reserved for it.
   std::map<std::uint64_t, net::Address> client_endpoints_;

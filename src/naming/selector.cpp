@@ -50,6 +50,14 @@ void ReplicaSelector::update_loads(std::string_view group_key,
   for (std::size_t i = 0; i < loads.size(); ++i) state.loads[i] = loads[i];
 }
 
+std::size_t ReplicaSelector::select(const orb::ObjRef& group) {
+  GroupState& state = group_state(group);
+  const std::size_t idx = pick(group, state, 0);
+  ++state.dispatched[idx];
+  ++stats_.selections;
+  return idx;
+}
+
 std::vector<std::uint64_t> ReplicaSelector::dispatch_counts(
     std::string_view group_key) const {
   auto it = groups_.find(group_key);

@@ -1,16 +1,19 @@
 // Client-side replica selection and transparent failover.
 //
-// A multi-profile ObjRef (directory lookup result) names a replica group;
-// the ReplicaSelector decides, per invocation, which profile the wire
-// attempt addresses. Two thin client interceptors realize it:
+// A multi-profile ObjRef (directory lookup result, replication group
+// reference, or the group a LoadBalancing agreement re-targets calls at)
+// names a replica group; the ReplicaSelector decides, per invocation, which
+// profile the wire attempt addresses. Two thin client interceptors realize
+// it:
 //
 //   250 replica.select    pick a profile before the qos.route fork
 //   375 replica.failover  on a locally synthesized fault, re-drive the
 //                         levels below against the next untried profile
 //
-// Selection policies: round-robin, least-loaded (fed by the load figures
-// replicas piggyback on directory heartbeats, delivered here through
-// update_loads()), and locality (prefer replicas on the caller's node).
+// Selection policies: round-robin, least-loaded (fed through
+// update_loads() by the load figures replicas piggyback on directory
+// heartbeats or report through LoadBalancing's qos_load), and locality
+// (prefer replicas on the caller's node).
 // Profiles whose (endpoint, object key) circuit breaker is open, and
 // profiles recently quarantined by a failover, are skipped while any
 // alternative remains.
@@ -78,6 +81,11 @@ class ReplicaSelector {
   /// ObjRef::profile(i)), e.g. from DirectoryClient::lookup's ServiceView.
   void update_loads(std::string_view group_key,
                     const std::vector<double>& loads);
+
+  /// The replica.select stage's per-call choice for senders that bypass
+  /// the client chain (async send_request): a profile index of `group`,
+  /// counted like a chain selection.
+  std::size_t select(const orb::ObjRef& group);
 
   /// How many invocations each profile of a group has received (selection
   /// + failover re-targets); empty when the group is unknown.

@@ -17,13 +17,15 @@
 //     the entry; malformed entries decode to nullopt and are dropped.
 //
 //   - SpanScope is the RAII unit of attribution. Scopes form a stack
-//     (single-threaded discrete-event simulator: plain globals, no TLS).
-//     Layers that hold a recorder open *root* scopes (stub mint, server
-//     re-attach); layers below (mediators, transport, network, skeleton)
-//     open *child* scopes of whatever is active — or do nothing, at the
-//     cost of one global load, when no trace is in flight. Anything sent
-//     while a scope is active is causally part of that trace, which is
-//     exactly what makes nested pumping attributable.
+//     through one thread_local pointer (each simulation shard is its own
+//     single-threaded world on its own thread, so scopes never leak
+//     across shards). Layers that hold a recorder open *root* scopes
+//     (stub mint, server re-attach); layers below (mediators, transport,
+//     network, skeleton) open *child* scopes of whatever is active — or
+//     do nothing, at the cost of one thread-local load, when no trace is
+//     in flight. Anything sent while a scope is active is causally part
+//     of that trace, which is exactly what makes nested pumping
+//     attributable.
 //
 //   - The TraceRecorder keeps completed spans in a bounded ring buffer
 //     (oldest evicted first), timestamps off the virtual clock (traces
@@ -208,7 +210,7 @@ class SpanScope {
   };
 
   /// Child scope of the active one; records nothing when no trace is in
-  /// flight (one global load + branch, no allocation).
+  /// flight (one thread-local load + branch, no allocation).
   explicit SpanScope(const char* name, std::string_view detail = {});
 
   /// Root / re-attached scope: starts recording under `recorder` iff the
@@ -247,7 +249,7 @@ class SpanScope {
   friend void note_error(std::string_view what);
 };
 
-/// True while any recording scope is active (cheap global check).
+/// True while any recording scope is active (cheap thread-local check).
 bool tracing_active() noexcept;
 
 /// Context of the innermost recording scope; unsampled/invalid when none.

@@ -1,13 +1,17 @@
-// Load-balancing characteristic: policy distribution, redirection through
-// the mediator, load reporting via QoS operations.
+// Load-balancing characteristic: the mediator re-targets calls at the
+// agreed replica group, the client ORB's ReplicaSelector spreads and fails
+// over, and servers report load via the qos_load QoS operation.
 #include "characteristics/loadbalancing.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/negotiation.hpp"
+#include "core/retry.hpp"
+#include "naming/selector.hpp"
 #include "net/network.hpp"
 #include "support/qos_echo.hpp"
-#include "util/strings.hpp"
 
 namespace maqs::characteristics {
 namespace {
@@ -41,21 +45,30 @@ class LoadBalancingTest : public ::testing::Test {
     }
   }
 
-  std::shared_ptr<LoadBalancingMediator> make_mediator(
-      const std::string& policy, std::int64_t probe_interval = 16) {
+  /// The workers as one replica group: worker 0 is the primary profile,
+  /// the rest are alternates.
+  std::string group_ior() const {
+    orb::ObjRef group = refs_.front();
+    for (std::size_t i = 1; i < refs_.size(); ++i) {
+      group.alternates.push_back(
+          orb::AltProfile{refs_[i].endpoint, refs_[i].object_key});
+    }
+    return group.to_string();
+  }
+
+  std::shared_ptr<LoadBalancingMediator> make_mediator() {
     auto mediator = std::make_shared<LoadBalancingMediator>();
-    mediator->attach_orb(&client_);
-    std::vector<std::string> iors;
-    for (const auto& ref : refs_) iors.push_back(ref.to_string());
     core::Agreement agreement;
     agreement.characteristic = loadbalancing_name();
     agreement.params = loadbalancing_descriptor().validate_params(
-        {{"policy", cdr::Any::from_string(policy)},
-         {"probe_interval",
-          cdr::Any::from_long(static_cast<std::int32_t>(probe_interval))},
-         {"replicas", cdr::Any::from_string(util::join(iors, ";"))}});
+        {{"replicas", cdr::Any::from_string(group_ior())}});
     mediator->bind_agreement(agreement);
     return mediator;
+  }
+
+  /// Installs the client ORB's replica picker.
+  naming::ReplicaSelector& arm_selector(naming::SelectorConfig config = {}) {
+    return selector_.emplace(client_, config);
   }
 
   EchoStub stub_with(const std::shared_ptr<LoadBalancingMediator>& mediator) {
@@ -66,10 +79,23 @@ class LoadBalancingTest : public ::testing::Test {
     return stub;
   }
 
+  /// qos_load of worker `i` (a QoS operation on its QoS skeleton).
+  double poll_load(std::size_t i) {
+    orb::RequestMessage probe;
+    probe.object_key = refs_[i].object_key;
+    probe.operation = "qos_load";
+    orb::ReplyMessage rep =
+        client_.invoke_plain(refs_[i].endpoint, std::move(probe));
+    EXPECT_EQ(rep.status, orb::ReplyStatus::kOk);
+    cdr::Decoder dec(rep.body);
+    return dec.read_f64();
+  }
+
   sim::EventLoop loop_;
   net::Network net_;
   orb::Orb client_;
   core::QosTransport client_transport_;
+  std::optional<naming::ReplicaSelector> selector_;
   std::vector<std::unique_ptr<orb::Orb>> workers_;
   std::vector<std::shared_ptr<QosEchoImpl>> servants_;
   std::vector<std::shared_ptr<LoadReportingImpl>> reporting_;
@@ -78,10 +104,15 @@ class LoadBalancingTest : public ::testing::Test {
 
 TEST_F(LoadBalancingTest, RoundRobinSpreadsEvenly) {
   start_workers(4);
-  auto mediator = make_mediator("round-robin");
-  EchoStub stub = stub_with(mediator);
+  naming::ReplicaSelector& selector = arm_selector();
+  EchoStub stub = stub_with(make_mediator());
   for (int i = 0; i < 40; ++i) stub.echo("x");
-  for (const auto& count : mediator->dispatch_counts()) {
+  // Every call went through the selector; the size check keeps the
+  // per-count loop from passing vacuously.
+  EXPECT_EQ(selector.stats().selections, 40u);
+  const std::vector<std::uint64_t> counts = selector.dispatch_counts("worker");
+  ASSERT_EQ(counts.size(), 4u);
+  for (const auto& count : counts) {
     EXPECT_EQ(count, 10u);
   }
   // Each worker actually served its share (redirection happened).
@@ -90,40 +121,34 @@ TEST_F(LoadBalancingTest, RoundRobinSpreadsEvenly) {
   }
 }
 
-TEST_F(LoadBalancingTest, RandomHitsEveryWorkerEventually) {
-  start_workers(3);
-  auto mediator = make_mediator("random");
-  EchoStub stub = stub_with(mediator);
-  for (int i = 0; i < 90; ++i) stub.echo("x");
-  for (const auto& count : mediator->dispatch_counts()) {
-    EXPECT_GT(count, 10u);  // roughly 30 each; 10 is a loose floor
-  }
-}
-
 TEST_F(LoadBalancingTest, LeastLoadedAvoidsBusyWorker) {
   start_workers(3);
   // Worker 0 is very busy.
   reporting_[0]->add_synthetic_load(1000.0);
-  auto mediator = make_mediator("least-loaded", /*probe_interval=*/8);
-  EchoStub stub = stub_with(mediator);
-  for (int i = 0; i < 60; ++i) stub.echo("x");
-  const auto& counts = mediator->dispatch_counts();
-  EXPECT_LT(counts[0], 5u);  // probes keep steering away from the busy one
-  EXPECT_GT(counts[1] + counts[2], 55u);
+  naming::SelectorConfig config;
+  config.policy = naming::SelectPolicy::kLeastLoaded;
+  naming::ReplicaSelector& selector = arm_selector(config);
+  EchoStub stub = stub_with(make_mediator());
+  for (int i = 0; i < 60; ++i) {
+    // The selector knows only the figures fed to it: qos_load every 8 calls.
+    if (i % 8 == 0) {
+      selector.update_loads("worker", {poll_load(0), poll_load(1),
+                                       poll_load(2)});
+    }
+    stub.echo("x");
+  }
+  const std::vector<std::uint64_t> counts = selector.dispatch_counts("worker");
+  ASSERT_EQ(counts.size(), 3u);
+  EXPECT_EQ(counts[0], 0u);
+  EXPECT_EQ(counts[1] + counts[2], 60u);
+  EXPECT_EQ(servants_[0]->calls, 0);
 }
 
 TEST_F(LoadBalancingTest, QosLoadOperationReportsServerLoad) {
   start_workers(1);
   EchoStub stub(client_, refs_[0]);
   for (int i = 0; i < 5; ++i) stub.echo("warm");
-  orb::RequestMessage probe;
-  probe.object_key = "worker";
-  probe.operation = "qos_load";
-  orb::ReplyMessage rep =
-      client_.invoke_plain(refs_[0].endpoint, std::move(probe));
-  ASSERT_EQ(rep.status, orb::ReplyStatus::kOk);
-  cdr::Decoder dec(rep.body);
-  EXPECT_GT(dec.read_f64(), 0.0);
+  EXPECT_GT(poll_load(0), 0.0);
   EXPECT_EQ(reporting_[0]->served(), 5u);
 }
 
@@ -138,37 +163,33 @@ TEST_F(LoadBalancingTest, EmptyReplicaSetKeepsOriginalTarget) {
   EXPECT_EQ(stub.echo("fallthrough"), "fallthrough");
 }
 
-TEST_F(LoadBalancingTest, UnknownPolicyRejected) {
-  auto mediator = std::make_shared<LoadBalancingMediator>();
-  core::Agreement agreement;
-  agreement.characteristic = loadbalancing_name();
-  agreement.params = loadbalancing_descriptor().validate_params(
-      {{"policy", cdr::Any::from_string("chaotic")}});
-  EXPECT_THROW(mediator->bind_agreement(agreement), core::QosError);
-}
-
-TEST_F(LoadBalancingTest, CrashedWorkerSteeredAroundByLeastLoaded) {
+TEST_F(LoadBalancingTest, CrashedWorkerFailsOverTransparently) {
   start_workers(3);
   client_.set_default_timeout(50 * sim::kMillisecond);
-  auto mediator = make_mediator("least-loaded", /*probe_interval=*/4);
-  EchoStub stub = stub_with(mediator);
+  orb::BreakerConfig breaker;
+  breaker.failure_threshold = 1;
+  breaker.open_period = sim::kSecond;
+  client_.set_breaker_config(breaker);
+  // The timeout on the dead worker opens its breaker, the retried attempt
+  // fast-fails with CIRCUIT_OPEN, and the selector re-targets a live one.
+  core::RetryPolicy policy = core::RetryPolicy::idempotent();
+  policy.max_attempts = 2;
+  policy.initial_backoff = 0;
+  core::RetryGovernor governor(policy);
+  client_.set_retry_advisor(&governor);
+  naming::ReplicaSelector& selector = arm_selector();
+  EchoStub stub = stub_with(make_mediator());
   net_.crash("w1");
-  int failures = 0;
   for (int i = 0; i < 40; ++i) {
-    try {
-      stub.echo("x");
-    } catch (const orb::TransportError&) {
-      ++failures;  // calls routed at the dead worker before a probe ran
-    }
+    EXPECT_EQ(stub.echo("x"), "x");  // no fault reaches the caller
   }
-  const auto& counts = mediator->dispatch_counts();
-  // After the first probe marks w1 unreachable, traffic avoids it.
-  EXPECT_LT(counts[1], 8u);
-  EXPECT_LT(failures, 8);
+  EXPECT_GE(selector.stats().failovers, 1u);
+  EXPECT_EQ(servants_[0]->calls + servants_[2]->calls, 40);
 }
 
 TEST_F(LoadBalancingTest, FullNegotiationInstallsBalancer) {
   start_workers(2);
+  arm_selector();
   core::ResourceManager resources;
   resources.declare("cpu", 100.0);
   core::ProviderRegistry providers;
@@ -184,11 +205,8 @@ TEST_F(LoadBalancingTest, FullNegotiationInstallsBalancer) {
   orb::ObjRef ref = refs_[0];
   ref.qos = {profile};
   EchoStub stub(client_, ref);
-  std::vector<std::string> iors;
-  for (const auto& r : refs_) iors.push_back(r.to_string());
-  negotiator.negotiate(
-      stub, loadbalancing_name(),
-      {{"replicas", cdr::Any::from_string(util::join(iors, ";"))}});
+  negotiator.negotiate(stub, loadbalancing_name(),
+                       {{"replicas", cdr::Any::from_string(group_ior())}});
   for (int i = 0; i < 10; ++i) stub.echo("x");
   EXPECT_EQ(servants_[0]->calls, 5);
   EXPECT_EQ(servants_[1]->calls, 5);

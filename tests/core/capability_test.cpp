@@ -143,7 +143,7 @@ TEST(ReviewOfferTest, AcceptsAtOfferedPointAndKeepsDemandReserved) {
   resources.declare("bandwidth", 100.0);
 
   const OfferReview review =
-      review_offer(provider, resources, nullptr,
+      review_offer(provider, resources,
                    provider.descriptor.default_matrix(), {});
   EXPECT_EQ(review.kind, AdmissionDecision::Kind::kAccept);
   EXPECT_TRUE(review.reserved);
@@ -162,7 +162,7 @@ TEST(ReviewOfferTest, CountersAtBestFeasiblePointWithoutHoldingResources) {
   resources.declare("bandwidth", 30.0);  // heavy (50) cannot fit
 
   const OfferReview review =
-      review_offer(provider, resources, nullptr,
+      review_offer(provider, resources,
                    provider.descriptor.default_matrix(), {});
   EXPECT_EQ(review.kind, AdmissionDecision::Kind::kCounter);
   EXPECT_FALSE(review.reserved);
@@ -180,50 +180,11 @@ TEST(ReviewOfferTest, RejectsDemandNamingUndeclaredResources) {
   resources.declare("cpu", 100.0);  // no bandwidth budget declared
 
   const OfferReview review =
-      review_offer(provider, resources, nullptr,
+      review_offer(provider, resources,
                    provider.descriptor.default_matrix(), {});
   EXPECT_EQ(review.kind, AdmissionDecision::Kind::kReject);
   EXPECT_NE(review.reason.find("undeclared resource"), std::string::npos);
   EXPECT_FALSE(review.reserved);
-}
-
-TEST(ReviewOfferTest, AdmissionPolicyShortCircuitsTheLatticeWalk) {
-  const CharacteristicProvider provider = make_provider();
-  ResourceManager resources;
-  resources.declare("cpu", 100.0);
-  resources.declare("bandwidth", 100.0);
-
-  // A rejecting policy wins even though resources would fit the offer.
-  AdmissionPolicy reject = [](const CharacteristicProvider&,
-                              const std::map<std::string, cdr::Any>&,
-                              ResourceManager&) {
-    AdmissionDecision decision;
-    decision.kind = AdmissionDecision::Kind::kReject;
-    decision.reason = "policy says no";
-    return decision;
-  };
-  const OfferReview rejected =
-      review_offer(provider, resources, reject,
-                   provider.descriptor.default_matrix(), {});
-  EXPECT_EQ(rejected.kind, AdmissionDecision::Kind::kReject);
-  EXPECT_EQ(rejected.reason, "policy says no");
-  EXPECT_DOUBLE_EQ(resources.reserved("bandwidth"), 0.0);
-
-  // A countering policy steers dimension values through counter_params.
-  AdmissionPolicy counter = [](const CharacteristicProvider&,
-                               const std::map<std::string, cdr::Any>&,
-                               ResourceManager&) {
-    AdmissionDecision decision;
-    decision.kind = AdmissionDecision::Kind::kCounter;
-    decision.counter_params = {{"algorithm", S("off")}};
-    return decision;
-  };
-  const OfferReview countered =
-      review_offer(provider, resources, counter,
-                   provider.descriptor.default_matrix(), {});
-  EXPECT_EQ(countered.kind, AdmissionDecision::Kind::kCounter);
-  EXPECT_EQ(countered.matrix.find_value("algorithm")->as_string(), "off");
-  EXPECT_EQ(countered.flattened.at("algorithm").as_string(), "off");
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST(CapabilityPropertyTest, CounterOfferLoopConvergesWithinDimsPlusOne) {
     while (!settled && rounds <= static_cast<int>(dims) + 1) {
       ++rounds;
       const OfferReview review =
-          review_offer(provider, resources, nullptr, offer, {});
+          review_offer(provider, resources, offer, {});
       switch (review.kind) {
         case AdmissionDecision::Kind::kAccept:
           // Accepted demand is reserved and within budget.
