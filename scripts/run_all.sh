@@ -5,8 +5,10 @@
 set -e
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+# Default generator, as the tier-1 command and CI configure build/: forcing
+# another one aborts on a tree they already configured.
+cmake -B build -S .
+cmake --build build -j"$(nproc)"
 ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do
   [ -x "$b" ] && "$b"

@@ -1,5 +1,7 @@
 #include "cdr/any.hpp"
 
+#include <algorithm>
+
 #include "cdr/decoder.hpp"
 #include "cdr/encoder.hpp"
 
@@ -209,6 +211,21 @@ void Any::encode_value(Encoder& enc) const {
   }
 }
 
+namespace {
+
+/// Whether values of `type` encode to zero octets: void, and structs whose
+/// members all do.
+bool takes_no_octets(const TypeCode& type) {
+  if (type.kind() == TCKind::kVoid) return true;
+  if (type.kind() != TCKind::kStruct) return false;
+  return std::all_of(type.members().begin(), type.members().end(),
+                     [](const auto& member) {
+                       return takes_no_octets(*member.second);
+                     });
+}
+
+}  // namespace
+
 Any Any::decode_value(Decoder& dec, const TypeCodePtr& type) {
   switch (type->kind()) {
     case TCKind::kVoid: return make_void();
@@ -230,7 +247,15 @@ Any Any::decode_value(Decoder& dec, const TypeCodePtr& type) {
       return Any(type, ordinal);
     }
     case TCKind::kSequence: {
-      const std::uint32_t n = dec.read_u32();
+      std::uint32_t n = 0;
+      if (takes_no_octets(*type->element())) {
+        // A valid sequence<void> may end the stream: elements that take no
+        // octets are held to the whole stream instead of the octets left.
+        n = dec.read_u32();
+        if (n > dec.size()) throw CdrError("any: element count exceeds stream");
+      } else {
+        n = dec.read_count();
+      }
       std::vector<Any> items;
       items.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {

@@ -92,16 +92,21 @@ class Decoder {
   /// Remaining unread octets.
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
-  /// Consumes and returns the unread rest of the stream (no length
-  /// prefix). QoS skeletons use this to lift the raw argument stream out
-  /// for aspect transforms (decompression, decryption).
-  util::Bytes read_remaining() {
-    const util::BytesView v = read_remaining_view();
-    return util::Bytes(v.begin(), v.end());
+  /// Length of the whole stream, read or not.
+  std::size_t size() const noexcept { return data_.size(); }
+
+  /// Reads a peer-supplied element count, rejecting one larger than the
+  /// octets left after it before any caller reserves or loops on it, so
+  /// the work and memory a count buys stay proportional to the input.
+  std::uint32_t read_count() {
+    const std::uint32_t n = read_u32();
+    if (n > remaining()) throw CdrError("cdr: element count exceeds stream");
+    return n;
   }
 
-  /// Zero-copy variant of read_remaining(); same lifetime rule as
-  /// read_string_view().
+  /// Consumes the unread rest of the stream (no length prefix); QoS
+  /// skeletons lift the raw argument stream out this way for their payload
+  /// transforms. Same lifetime rule as read_string_view().
   util::BytesView read_remaining_view() {
     const util::BytesView v = data_.subspan(pos_);
     pos_ = data_.size();

@@ -211,7 +211,10 @@ void TypeCode::encode(Encoder& enc) const {
   }
 }
 
-TypeCodePtr TypeCode::decode(Decoder& dec) {
+namespace {
+
+TypeCodePtr decode_nested(Decoder& dec, int depth) {
+  if (depth > kMaxTypeNesting) throw CdrError("typecode: nesting too deep");
   const auto raw = dec.read_u8();
   if (raw > static_cast<std::uint8_t>(TCKind::kObjRef)) {
     throw CdrError("typecode: bad kind octet");
@@ -219,33 +222,38 @@ TypeCodePtr TypeCode::decode(Decoder& dec) {
   const TCKind kind = static_cast<TCKind>(raw);
   switch (kind) {
     case TCKind::kSequence:
-      return sequence_tc(decode(dec));
+      return TypeCode::sequence_tc(decode_nested(dec, depth + 1));
     case TCKind::kStruct: {
       std::string name = dec.read_string();
-      const std::uint32_t n = dec.read_u32();
+      const std::uint32_t n = dec.read_count();
       std::vector<std::pair<std::string, TypeCodePtr>> members;
       members.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         std::string member_name = dec.read_string();
-        members.emplace_back(std::move(member_name), decode(dec));
+        members.emplace_back(std::move(member_name),
+                             decode_nested(dec, depth + 1));
       }
-      return struct_tc(std::move(name), std::move(members));
+      return TypeCode::struct_tc(std::move(name), std::move(members));
     }
     case TCKind::kEnum: {
       std::string name = dec.read_string();
-      const std::uint32_t n = dec.read_u32();
+      const std::uint32_t n = dec.read_count();
       std::vector<std::string> enumerators;
       enumerators.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         enumerators.push_back(dec.read_string());
       }
-      return enum_tc(std::move(name), std::move(enumerators));
+      return TypeCode::enum_tc(std::move(name), std::move(enumerators));
     }
     case TCKind::kObjRef:
-      return objref_tc(dec.read_string());
+      return TypeCode::objref_tc(dec.read_string());
     default:
       return basic_singleton(kind);
   }
 }
+
+}  // namespace
+
+TypeCodePtr TypeCode::decode(Decoder& dec) { return decode_nested(dec, 0); }
 
 }  // namespace maqs::cdr

@@ -40,6 +40,11 @@ const char* tc_kind_name(TCKind kind) noexcept;
 class TypeCode;
 using TypeCodePtr = std::shared_ptr<const TypeCode>;
 
+/// Deepest sequence/struct nesting TypeCode::decode accepts (the gateway
+/// JSON parser's limit): a peer's kind octets must not drive the decoder's
+/// recursion off the stack.
+inline constexpr int kMaxTypeNesting = 64;
+
 /// Immutable, structurally comparable type description. Construct through
 /// the static factories; shared via TypeCodePtr.
 class TypeCode {
@@ -86,6 +91,7 @@ class TypeCode {
 
   // ---- marshaling (for self-describing Anys) ----
   void encode(Encoder& enc) const;
+  /// Throws CdrError for types nested deeper than kMaxTypeNesting.
   static TypeCodePtr decode(Decoder& dec);
 
  protected:

@@ -51,7 +51,7 @@ cdr::Any ReplicationModule::command(const std::string& op,
     group_ = args[0].as_string();
     mode_ = args[1].as_string();
     quorum_ = static_cast<int>(args[2].as_integer());
-    if (mode_ != "failover" && mode_ != "voting" && mode_ != "passive") {
+    if (mode_ != "failover" && mode_ != "voting") {
       throw core::QosError("replication: unknown mode '" + mode_ + "'");
     }
     if (quorum_ < 1) throw core::QosError("replication: quorum must be >= 1");
@@ -65,32 +65,13 @@ cdr::Any ReplicationModule::command(const std::string& op,
 }
 
 orb::ReplyMessage ReplicationModule::invoke(orb::RequestMessage req,
-                                            const orb::ObjRef& target) {
-  if (mode_ != "passive" && group_.empty()) {
+                                            const orb::ObjRef& /*target*/) {
+  if (group_.empty()) {
     throw core::QosError("replication: module not configured with a group");
   }
   req.context[core::kModuleContextKey] = util::to_bytes(name());
-  if (mode_ == "passive") return invoke_passive(std::move(req), target);
   if (mode_ == "voting") return invoke_voting(std::move(req));
   return invoke_failover(std::move(req));
-}
-
-orb::ReplyMessage ReplicationModule::invoke_passive(
-    orb::RequestMessage req, const orb::ObjRef& target) {
-  // Primary-backup: only the primary (the reference's leading profile —
-  // directory lookups order profiles by state epoch, and the replica
-  // selector has already rewritten the target to the chosen one) executes
-  // the request; backups catch up through state transfer and advertise
-  // their epoch on directory heartbeats.
-  orb::Orb& orb = context().orb();
-  std::optional<orb::ReplyMessage> winner;
-  orb.send_request(target.endpoint, std::move(req),
-                   [&](orb::ReplyMessage rep) { winner = std::move(rep); });
-  orb.run_until([&] { return winner.has_value(); });
-  if (!winner.has_value()) {
-    throw orb::TransportError("replication: event loop drained");
-  }
-  return *std::move(winner);
 }
 
 orb::ReplyMessage ReplicationModule::invoke_failover(
@@ -323,8 +304,8 @@ orb::ObjRef ReplicaGroup::group_reference() const {
   ref.object_key = object_key_;
   ref.qos = {profile};
   // Every member is an alternate profile: clients running a
-  // naming::ReplicaSelector can re-target per invocation (passive mode);
-  // without one the reference behaves exactly as before.
+  // naming::ReplicaSelector can re-target per invocation; without one the
+  // plain path sends to the leading profile, the primary.
   for (std::size_t i = 1; i < members_.size(); ++i) {
     ref.alternates.push_back(
         orb::AltProfile{members_[i].orb->endpoint(), object_key_});

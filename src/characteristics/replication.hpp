@@ -53,8 +53,6 @@ class ReplicationModule final : public core::QosModule {
  private:
   orb::ReplyMessage invoke_failover(orb::RequestMessage req);
   orb::ReplyMessage invoke_voting(orb::RequestMessage req);
-  orb::ReplyMessage invoke_passive(orb::RequestMessage req,
-                                   const orb::ObjRef& target);
 
   std::string group_;
   std::string mode_ = "failover";
@@ -63,9 +61,10 @@ class ReplicationModule final : public core::QosModule {
 };
 
 /// Server-side QoS implementation: state-transfer QoS operations through
-/// the aspect-integration interface, plus the state epoch passive
-/// replication advertises (directory heartbeats carry it; lookups order
-/// profiles by it, so the most caught-up replica leads as primary).
+/// the aspect-integration interface, plus the replica's state epoch
+/// (directory heartbeats carry it; lookups order profiles by it, so the
+/// most caught-up replica leads as primary — the profile a client with no
+/// replication module assigned sends to).
 class ReplicationImpl final : public core::QosImpl {
  public:
   ReplicationImpl();

@@ -15,7 +15,10 @@
 //   - a single exchangeable QosImpl delegate handles the negotiated one,
 //   - QoS ops of non-negotiated (but assigned) characteristics raise
 //     NotNegotiated,
-//   - application operations are bracketed by prolog/epilog.
+//   - application operations are bracketed by prolog/epilog, run by
+//     dispatch() as one direct loop in Fig. 2's order.
+// QosImpl shares its base (QosDelegate) and its member set (DelegateSet)
+// with the client half, core/mediator.hpp.
 //
 // Generated server skeletons derive from QosServantBase and implement
 // dispatch_app() (our qidlc emits this shape). For retrofitting an
@@ -30,10 +33,8 @@
 #include <vector>
 
 #include "core/characteristic.hpp"
-#include "core/contract.hpp"
-#include "core/transform.hpp"
+#include "core/delegate.hpp"
 #include "orb/exceptions.hpp"
-#include "orb/interceptor.hpp"
 #include "orb/servant.hpp"
 
 namespace maqs::core {
@@ -56,7 +57,6 @@ class QosServantBase;
 class QosServerContext {
  public:
   explicit QosServerContext(QosServantBase& host) : host_(host) {}
-  QosServantBase& host() noexcept { return host_; }
   /// The servant's state-access aspect interface; nullptr if the servant
   /// does not expose one.
   StateAccess* state_access();
@@ -66,32 +66,15 @@ class QosServerContext {
 };
 
 /// Server half of a QoS characteristic — "the QoS implementation" of
-/// Fig. 2. Exchanged as a delegate at (re)negotiation time.
-class QosImpl {
+/// Fig. 2. Exchanged as a delegate at (re)negotiation time. Its payload
+/// stage (QosDelegate::streaming_transform) restores the marshaled
+/// arguments in reverse() before the application skeleton unmarshals them
+/// (the inverse of what the mediator did on the client: decrypt,
+/// decompress, ...) and transforms the marshaled result in forward().
+class QosImpl : public QosDelegate {
  public:
   explicit QosImpl(std::string characteristic)
-      : characteristic_(std::move(characteristic)) {}
-  virtual ~QosImpl() = default;
-
-  const std::string& characteristic() const noexcept {
-    return characteristic_;
-  }
-
-  virtual void bind_agreement(const Agreement& agreement) {
-    agreement_ = agreement;
-  }
-  const Agreement& agreement() const noexcept { return agreement_; }
-
-  /// Woven channel version — server mirror of
-  /// Mediator::set_channel_version: when several agreements weave through
-  /// one servant, frames are versioned by the sum of all installed
-  /// delegates' agreement versions, distributed by the hosting servant at
-  /// install and rebind time. -1 (default) = standalone; bind_agreement
-  /// then versions material by the agreement's own version.
-  void set_channel_version(std::int64_t version) noexcept {
-    channel_version_ = version;
-  }
-  std::int64_t channel_version() const noexcept { return channel_version_; }
+      : QosDelegate(std::move(characteristic)) {}
 
   /// Called when the delegate is installed into / removed from a servant.
   virtual void attach(QosServerContext& ctx) { (void)ctx; }
@@ -101,15 +84,6 @@ class QosImpl {
   virtual void prolog(orb::ServerContext& ctx) { (void)ctx; }
   virtual void epilog(orb::ServerContext& ctx) { (void)ctx; }
 
-  /// This implementation's payload transform, when it has one: reverse()
-  /// restores the marshaled arguments before the application skeleton
-  /// unmarshals them (the inverse of what the mediator did on the client:
-  /// decrypt, decompress, ...), forward() transforms the marshaled result.
-  /// The skeleton fuses the stages of all installed delegates into one
-  /// TransformChain (single arena, no per-stage copies); a delegate
-  /// returning nullptr leaves the payload alone.
-  virtual StreamingTransform* streaming_transform() { return nullptr; }
-
   /// The characteristic's QoS operations (mechanism + peer + aspect ops
   /// from QIDL). Throws BadOperation for names it does not implement.
   virtual void dispatch_qos_op(const std::string& op, cdr::Decoder& args,
@@ -117,21 +91,9 @@ class QosImpl {
     (void)args;
     (void)out;
     (void)ctx;
-    throw orb::BadOperation("qos impl " + characteristic_ +
+    throw orb::BadOperation("qos impl " + characteristic() +
                             ": unknown QoS operation " + op);
   }
-
- protected:
-  /// Version to register versioned mechanism material under for
-  /// `agreement`: the channel version when woven, else the agreement's own.
-  std::int64_t effective_version(const Agreement& agreement) const noexcept {
-    return channel_version_ >= 0 ? channel_version_ : agreement.version();
-  }
-
- private:
-  std::string characteristic_;
-  Agreement agreement_;
-  std::int64_t channel_version_ = -1;
 };
 
 /// Base of QoS-enabled server skeletons (see file comment).
@@ -159,17 +121,19 @@ class QosServantBase : public orb::Servant {
   void install_impl(std::shared_ptr<QosImpl> impl);
   void remove_impl(const std::string& characteristic);
   void clear_impls();
-  /// Rebinds the delegate of `characteristic` at a renegotiated agreement
-  /// and redistributes the woven channel version (the server mirror of
-  /// CompositeMediator::rebind): every delegate re-registers its versioned
-  /// material at the new frame epoch while retaining the previous one.
-  /// Returns false when no delegate of that characteristic is installed.
+  /// Rebinds the delegate of `characteristic` at a renegotiated agreement;
+  /// see DelegateSet::rebind. Returns false when no delegate of that
+  /// characteristic is installed.
   bool rebind_impl(const std::string& characteristic,
-                   const Agreement& agreement);
-  std::shared_ptr<QosImpl> impl_for(const std::string& characteristic) const;
+                   const Agreement& agreement) {
+    return delegates_.rebind(characteristic, agreement);
+  }
+  std::shared_ptr<QosImpl> impl_for(const std::string& characteristic) const {
+    return delegates_.find(characteristic);
+  }
   /// Installed delegates in installation order.
   const std::vector<std::shared_ptr<QosImpl>>& active_impls() const noexcept {
-    return impls_;
+    return delegates_.members();
   }
 
   /// The woven dispatch path; final so weaving cannot be bypassed.
@@ -185,31 +149,15 @@ class QosServantBase : public orb::Servant {
                             cdr::Encoder& out, orb::ServerContext& ctx) = 0;
 
  private:
-  /// Rebuilds the per-servant stage chain from impls_ after any delegate
-  /// exchange: each delegate contributes a prolog/epilog stage in the
-  /// prolog band, and one transform stage in the transform band runs the
-  /// fused chain of every delegate's payload stage (see dispatch() for the
-  /// nesting the band priorities encode).
-  void rebuild_stage_chain();
-
-  /// Pushes the channel version (sum of installed delegates' agreement
-  /// versions) to the delegates weaving this servant's wire channel; see
-  /// QosImpl::set_channel_version.
-  void distribute_channel_version();
-
   /// op name -> owning characteristic (across all assigned ones).
   std::map<std::string, std::string> qos_ops_;
   std::map<std::string, CharacteristicDescriptor> assigned_;
   /// Installed delegates in installation order (client mediator chains
   /// install in the same negotiation order, which the transform nesting
   /// relies on — see dispatch()).
-  std::vector<std::shared_ptr<QosImpl>> impls_;
+  DelegateSet<QosImpl> delegates_{"skeleton.transform_result",
+                                  "skeleton.transform_args"};
   std::unique_ptr<QosServerContext> impl_ctx_;
-  /// The woven dispatch as an interceptor chain: one prolog/epilog stage
-  /// per installed delegate plus one transform stage, walked by dispatch()
-  /// with the application skeleton as the terminal.
-  std::vector<std::unique_ptr<orb::ServerInterceptor>> stages_;
-  orb::ServerChain stage_chain_;
 };
 
 /// Delegation-based weaving for pre-existing skeletons: wraps any servant

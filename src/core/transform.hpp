@@ -27,8 +27,9 @@
 //
 // Client mediators, server QoS skeletons and the network-centered QoS
 // modules all run their transforms through this one pipeline: a composite
-// mediator and a QoS skeleton each fuse the stages of all their members
-// into one chain, and each module runs its own.
+// mediator and a QoS skeleton each keep their delegates in a DelegateSet
+// (core/delegate.hpp), which fuses the members' stages into one chain,
+// and each module runs its own.
 #pragma once
 
 #include <cstdint>
@@ -167,7 +168,6 @@ class TransformChain {
   void add(StreamingTransform* stage);
   void clear() noexcept;
   bool empty() const noexcept { return stages_.empty(); }
-  std::size_t size() const noexcept { return stages_.size(); }
 
   /// Applies every stage to `body` in installation order and materializes
   /// the result back into `body`.

@@ -90,7 +90,7 @@ std::vector<const MemberRecord*> ServiceDirectory::ordered(
   std::vector<const MemberRecord*> out;
   out.reserve(group.members.size());
   for (const MemberRecord& member : group.members) out.push_back(&member);
-  // Highest epoch leads (the passive-replication primary); stable keeps
+  // Highest epoch leads (the primary-backup primary); stable keeps
   // registration order among equals, so the ordering is deterministic.
   std::stable_sort(out.begin(), out.end(),
                    [](const MemberRecord* a, const MemberRecord* b) {

@@ -13,7 +13,7 @@
 // last heartbeat advertised. lookup() hands out a multi-profile ObjRef
 // (the primary plus alternates, see orb::ObjRef::alternates) ordered by
 // state epoch — the most caught-up replica leads, which is exactly the
-// primary a passive-replication client wants. Membership is leased:
+// primary a primary-backup client wants. Membership is leased:
 // members that miss heartbeats for the configured TTL expire lazily on
 // the next operation that touches their service, so expiry is a pure
 // function of virtual time and stays deterministic under a fixed seed.

@@ -36,7 +36,7 @@ std::optional<ServiceView> DirectoryClient::lookup(
   cdr::Decoder result(std::move(rep.body));
   ServiceView view;
   view.ref = orb::ObjRef::decode(result.read_bytes());
-  const std::uint32_t n = result.read_u32();
+  const std::uint32_t n = result.read_count();
   view.loads.reserve(n);
   view.epochs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -79,7 +79,7 @@ class HeartbeatAgent {
     /// Current-load sample, e.g. core::make_load_probe(scheduler). Defaults
     /// to a constant 0.
     std::function<double()> load_probe;
-    /// State-epoch sample for passive replication (defaults to 0; wire to
+    /// State-epoch sample for primary-backup ordering (defaults to 0; wire to
     /// characteristics::Replication::epoch()).
     std::function<std::uint64_t()> epoch_probe;
   };

@@ -60,7 +60,7 @@ util::Bytes encode_command_args(const std::vector<cdr::Any>& args) {
 
 std::vector<cdr::Any> decode_command_args(util::BytesView body) {
   cdr::Decoder dec(body);
-  const std::uint32_t n = dec.read_u32();
+  const std::uint32_t n = dec.read_count();
   std::vector<cdr::Any> args;
   args.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

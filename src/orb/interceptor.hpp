@@ -2,8 +2,8 @@
 // style, shrunk to this ORB).
 //
 // Every cross-cutting concern of the request path — mediator delegation,
-// trace span weaving, retry/backoff, circuit breaking, QoS routing,
-// skeleton prolog/epilog — is an interceptor on one of two ordered chains:
+// trace span weaving, retry/backoff, circuit breaking, QoS routing — is an
+// interceptor on one of two ordered chains:
 //
 //   client chain (Orb::invoke / invoke_plain walk it top-down):
 //     100 trace.client   mint root span + "qos.trace" wire entry
@@ -36,9 +36,10 @@
 // send_request (skipping everything below it *and* its own receive_reply),
 // ask for the levels from itself downward to be re-driven (kRetry), or
 // fail the call by throwing from receive_reply; a server interceptor
-// completes by setting info.completed. The QoS skeleton reuses the server
-// chain machinery for its per-characteristic prolog/epilog stages and its
-// fused payload-transform stage (see core/qos_skeleton.cpp).
+// completes by setting info.completed. Both walks are private to Orb
+// (client_walk, server_walk). The QoS skeleton's prolog/epilog weave runs
+// below the server chain's terminal, inside the servant's dispatch (see
+// core/qos_skeleton.cpp).
 #pragma once
 
 #include <algorithm>
@@ -61,7 +62,6 @@ namespace maqs::orb {
 
 class Orb;
 class RequestRouter;
-class ServerContext;
 struct OrbStats;
 
 /// Documented chain positions. Custom interceptors pick any other value;
@@ -87,8 +87,6 @@ inline constexpr int kServerTrace = 100;
 inline constexpr int kServerWireReply = 150;
 inline constexpr int kServerSched = 175;
 inline constexpr int kServerQos = 200;
-inline constexpr int kSkeletonPrologBase = 100;
-inline constexpr int kSkeletonTransformBase = 200;
 }  // namespace priorities
 
 /// invoke_plain() enters the client chain at the first interceptor whose
@@ -224,15 +222,12 @@ struct ClientRequestInfo {
   }
 };
 
-/// Per-invocation record threaded through a server chain. `orb`/`from`
-/// are set for the ORB's own chain; skeleton-local stage chains carry the
-/// dispatch context instead.
+/// Per-invocation record threaded through the ORB's server chain.
 struct ServerRequestInfo {
   Orb* orb = nullptr;
   const net::Address* from = nullptr;
   RequestMessage* request = nullptr;
   ReplyMessage reply;
-  ServerContext* ctx = nullptr;
   /// Set by an interceptor that answered the request itself; stops the
   /// walk from descending further (its own send_reply hook is skipped,
   /// the hooks above it still unwind).
@@ -375,52 +370,6 @@ struct InterceptorRecord {
   std::uint64_t short_circuits = 0;
   bool server = false;
 };
-
-/// The onion walk shared by the ORB's server chain and the QoS skeleton's
-/// stage chain. `terminal` runs below the deepest interceptor unless one
-/// of them completed the call. A templated callable (not std::function)
-/// keeps the armed-but-idle walk allocation-free.
-template <typename Terminal>
-void walk_server_chain(ServerChain& chain, std::size_t index,
-                       ServerRequestInfo& info, Terminal&& terminal) {
-  auto& entries = chain.entries();
-  if (index >= entries.size()) {
-    if (!info.completed) terminal(info);
-    return;
-  }
-  auto& entry = entries[index];
-  ++entry.hits;
-  ServerInterceptor& interceptor = *entry.interceptor;
-  try {
-    interceptor.receive_request(info);
-    if (info.completed) {
-      // The interceptor answered: levels below never run, and neither
-      // does its own send_reply (mirrors the pre-pipeline semantics of a
-      // router inbound() answering before outbound() existed).
-      ++entry.short_circuits;
-      return;
-    }
-    if (info.parked) {
-      // The interceptor parked the request for deferred dispatch: there
-      // is no reply to send, so the walk aborts without running any
-      // send_reply hook at this level or above.
-      ++entry.short_circuits;
-      return;
-    }
-    walk_server_chain(chain, index + 1, info,
-                      std::forward<Terminal>(terminal));
-    if (info.parked) return;
-    interceptor.send_reply(info);
-  } catch (const Error& e) {
-    if (!interceptor.handle_error(info, e)) {
-      interceptor.send_exception(info);
-      throw;
-    }
-  } catch (...) {
-    interceptor.send_exception(info);
-    throw;
-  }
-}
 
 // ---- built-in client interceptors ----
 

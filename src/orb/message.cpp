@@ -37,7 +37,7 @@ void encode_context(cdr::Encoder& enc, const ServiceContext& context) {
 
 ServiceContext decode_context(cdr::Decoder& dec) {
   ServiceContext context;
-  const std::uint32_t n = dec.read_u32();
+  const std::uint32_t n = dec.read_count();
   context.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     // Well-formed peers send sorted keys, so each insert lands at the back;

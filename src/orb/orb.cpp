@@ -278,16 +278,16 @@ void Orb::on_frame(const net::Address& from, const util::Bytes& data) {
   }
 }
 
-void Orb::handle_request(const net::Address& from, RequestMessage req) {
+void Orb::handle_request(const net::Address& from, RequestMessage req,
+                         bool resumed) {
   // Full server chain: trace re-attach, wire reply tail, QoS transforms,
   // then the adapter terminal.
   ServerRequestInfo info;
   info.orb = this;
   info.from = &from;
   info.request = &req;
-  walk_server_chain(server_chain_, 0, info, [this](ServerRequestInfo& i) {
-    i.reply = dispatch_to_servant(*i.request, *i.from);
-  });
+  info.resumed = resumed;
+  server_walk(info, 0);
   // Both bodies die here (the reply was already encoded and sent by the
   // wire stage); recycle their storage. Parked requests moved the body out,
   // leaving nothing worth pooling — release() ignores empties.
@@ -297,17 +297,7 @@ void Orb::handle_request(const net::Address& from, RequestMessage req) {
 }
 
 void Orb::resume_request(RequestMessage req, const net::Address& from) {
-  ServerRequestInfo info;
-  info.orb = this;
-  info.from = &from;
-  info.request = &req;
-  info.resumed = true;
-  walk_server_chain(server_chain_, 0, info, [this](ServerRequestInfo& i) {
-    i.reply = dispatch_to_servant(*i.request, *i.from);
-  });
-  auto& pool = util::BufferPool::instance();
-  pool.release(std::move(req.body));
-  pool.release(std::move(info.reply.body));
+  handle_request(from, std::move(req), /*resumed=*/true);
 }
 
 void Orb::send_reply_frame(const net::Address& to, const ReplyMessage& rep) {
@@ -323,16 +313,52 @@ ReplyMessage Orb::dispatch(RequestMessage req, const net::Address& from) {
   info.orb = this;
   info.from = &from;
   info.request = &req;
-  walk_server_chain(server_chain_,
-                    server_chain_.first_at_or_above(kServerDispatchEntry),
-                    info, [this](ServerRequestInfo& i) {
-                      i.reply = dispatch_to_servant(*i.request, *i.from);
-                    });
+  server_walk(info, server_chain_.first_at_or_above(kServerDispatchEntry));
   return std::move(info.reply);
 }
 
-ReplyMessage Orb::dispatch_to_servant(const RequestMessage& req,
-                                      const net::Address& from) {
+void Orb::server_walk(ServerRequestInfo& info, std::size_t index) {
+  auto& entries = server_chain_.entries();
+  if (index >= entries.size()) {
+    if (!info.completed) {
+      info.reply = dispatch_to_servant(*info.request);
+    }
+    return;
+  }
+  auto& entry = entries[index];
+  ++entry.hits;
+  ServerInterceptor& interceptor = *entry.interceptor;
+  try {
+    interceptor.receive_request(info);
+    if (info.completed) {
+      // The interceptor answered: levels below never run, and neither
+      // does its own send_reply (mirrors the pre-pipeline semantics of a
+      // router inbound() answering before outbound() existed).
+      ++entry.short_circuits;
+      return;
+    }
+    if (info.parked) {
+      // The interceptor parked the request for deferred dispatch: there
+      // is no reply to send, so the walk aborts without running any
+      // send_reply hook at this level or above.
+      ++entry.short_circuits;
+      return;
+    }
+    server_walk(info, index + 1);
+    if (info.parked) return;
+    interceptor.send_reply(info);
+  } catch (const Error& e) {
+    if (!interceptor.handle_error(info, e)) {
+      interceptor.send_exception(info);
+      throw;
+    }
+  } catch (...) {
+    interceptor.send_exception(info);
+    throw;
+  }
+}
+
+ReplyMessage Orb::dispatch_to_servant(const RequestMessage& req) {
   ReplyMessage rep;
   rep.request_id = req.request_id;
   std::shared_ptr<Servant> servant = adapter_.find(req.object_key);
@@ -346,7 +372,7 @@ ReplyMessage Orb::dispatch_to_servant(const RequestMessage& req,
   // (echo-shaped traffic); a recycled buffer at that size turns the common
   // case into zero allocations without hurting small results.
   cdr::Encoder out(util::BufferPool::instance().acquire(req.body.size() + 32));
-  ServerContext ctx(req, from, rep.context);
+  ServerContext ctx(req, rep.context);
   try {
     trace::SpanScope span("adapter.dispatch", req.operation);
     servant->dispatch(req.operation, args, out, ctx);

@@ -13,14 +13,15 @@
 //                                           object adapter --> servant
 //
 // Both halves are realized as interceptor chains (orb/interceptor.hpp):
-// invoke()/invoke_plain() walk the client chain down to one terminal wire
-// attempt, handle_request() walks the server chain down to the object
-// adapter. The ORB itself knows nothing about QoS mechanisms; routing,
-// mediation, tracing, retry and circuit breaking are interceptors, and
-// the RequestRouter extension point (implemented by maqs::core's
-// QosTransport) hangs off the qos.route/qos.server stages. This keeps the
-// hierarchy of concerns the paper argues for: the ORB is reusable without
-// any QoS.
+// invoke()/invoke_plain() walk the client chain (client_walk) down to one
+// terminal wire attempt; handle_request(), resume_request() and dispatch()
+// walk the server chain (server_walk) down to the object adapter, whose
+// servant runs any QoS skeleton weave itself. The ORB itself knows nothing
+// about QoS mechanisms; routing, mediation, tracing, retry and circuit
+// breaking are interceptors, and the RequestRouter extension point
+// (implemented by maqs::core's QosTransport) hangs off the
+// qos.route/qos.server stages. This keeps the hierarchy of concerns the
+// paper argues for: the ORB is reusable without any QoS.
 #pragma once
 
 #include <functional>
@@ -257,11 +258,17 @@ class Orb {
 
  private:
   void on_frame(const net::Address& from, const util::Bytes& data);
-  void handle_request(const net::Address& from, RequestMessage req);
+  /// The full server chain for an arrived request; `resumed` marks one a
+  /// scheduling interceptor parked earlier (see resume_request()).
+  void handle_request(const net::Address& from, RequestMessage req,
+                      bool resumed = false);
   void handle_reply(const net::Address& from, ReplyMessage rep);
+  /// Recursive onion walk over the server chain from `index`; the level
+  /// past the end is dispatch_to_servant() unless an interceptor completed
+  /// the request.
+  void server_walk(ServerRequestInfo& info, std::size_t index);
   /// Adapter dispatch only (the server chain's terminal).
-  ReplyMessage dispatch_to_servant(const RequestMessage& req,
-                                   const net::Address& from);
+  ReplyMessage dispatch_to_servant(const RequestMessage& req);
 
   /// Recursive onion walk over the client chain; the level past the end
   /// is attempt_once().

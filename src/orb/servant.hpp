@@ -5,7 +5,6 @@
 
 #include "cdr/decoder.hpp"
 #include "cdr/encoder.hpp"
-#include "net/address.hpp"
 #include "orb/message.hpp"
 
 namespace maqs::orb {
@@ -15,19 +14,16 @@ namespace maqs::orb {
 /// attach reply context entries (timestamps, monitoring samples).
 class ServerContext {
  public:
-  ServerContext(const RequestMessage& request, const net::Address& client,
-                ServiceContext& reply_context)
-      : request_(request), client_(client), reply_context_(reply_context) {}
+  ServerContext(const RequestMessage& request, ServiceContext& reply_context)
+      : request_(request), reply_context_(reply_context) {}
 
   const RequestMessage& request() const noexcept { return request_; }
-  const net::Address& client() const noexcept { return client_; }
 
   /// Mutable reply service context.
   ServiceContext& reply_context() noexcept { return reply_context_; }
 
  private:
   const RequestMessage& request_;
-  net::Address client_;
   ServiceContext& reply_context_;
 };
 

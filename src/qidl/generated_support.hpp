@@ -45,7 +45,7 @@ void write(cdr::Encoder& enc, const std::vector<T>& v) {
 
 template <typename T>
 void read(cdr::Decoder& dec, std::vector<T>& v) {
-  const std::uint32_t n = dec.read_u32();
+  const std::uint32_t n = dec.read_count();
   v.clear();
   v.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

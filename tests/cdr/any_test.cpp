@@ -133,5 +133,20 @@ TEST(Any, ToStringForms) {
   EXPECT_EQ(Any::from_enum(color, 0).to_string(), "Color::r");
 }
 
+TEST(Any, DecodeRejectsVoidSequenceCountPastTheInput) {
+  // sequence<void> claiming 0x0FFFFFFF elements: each takes no octets, so
+  // only the count check keeps six bytes from decoding into 268M Anys.
+  const util::Bytes wire = {0x09, 0x00, 0xFF, 0xFF, 0xFF, 0x0F};
+  Decoder dec{util::BytesView(wire)};
+  EXPECT_THROW(Any::decode(dec), CdrError);
+}
+
+TEST(Any, DecodeRejectsOctetSequenceCountPastTheInput) {
+  // sequence<octet> claiming 0x0FFFFFFF elements with none on the wire.
+  const util::Bytes wire = {0x09, 0x02, 0xFF, 0xFF, 0xFF, 0x0F};
+  Decoder dec{util::BytesView(wire)};
+  EXPECT_THROW(Any::decode(dec), CdrError);
+}
+
 }  // namespace
 }  // namespace maqs::cdr

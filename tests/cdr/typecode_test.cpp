@@ -111,5 +111,46 @@ TEST(TypeCode, NestedSequenceRoundTrip) {
   EXPECT_TRUE(tc->equal(*TypeCode::decode(dec)));
 }
 
+TEST(TypeCode, DecodeRejectsRunawayNesting) {
+  // 60,000 sequence kind octets ahead of an octet: each one is a level of
+  // recursion, enough to overflow an 8 MB stack without the cap.
+  util::Bytes wire(60000, 0x09);
+  wire.push_back(0x02);
+  Decoder dec{util::BytesView(wire)};
+  EXPECT_THROW(TypeCode::decode(dec), CdrError);
+}
+
+TEST(TypeCode, DecodeAcceptsNestingUpToTheCap) {
+  auto nested = [](int levels) {
+    util::Bytes wire(static_cast<std::size_t>(levels), 0x09);
+    wire.push_back(0x02);
+    return wire;
+  };
+  const util::Bytes at_cap = nested(kMaxTypeNesting);
+  Decoder ok{util::BytesView(at_cap)};
+  TypeCodePtr tc = TypeCode::decode(ok);
+  for (int i = 0; i < kMaxTypeNesting; ++i) tc = tc->element();
+  EXPECT_EQ(tc->kind(), TCKind::kOctet);
+  const util::Bytes past_cap = nested(kMaxTypeNesting + 1);
+  Decoder deep{util::BytesView(past_cap)};
+  EXPECT_THROW(TypeCode::decode(deep), CdrError);
+}
+
+TEST(TypeCode, DecodeRejectsMemberCountsPastTheInput) {
+  Encoder strukt;
+  strukt.write_u8(static_cast<std::uint8_t>(TCKind::kStruct));
+  strukt.write_string("S");
+  strukt.write_u32(0xFFFFFFFFu);
+  Decoder struct_dec(strukt.buffer());
+  EXPECT_THROW(TypeCode::decode(struct_dec), CdrError);
+
+  Encoder enumeration;
+  enumeration.write_u8(static_cast<std::uint8_t>(TCKind::kEnum));
+  enumeration.write_string("E");
+  enumeration.write_u32(0x0FFFFFFFu);
+  Decoder enum_dec(enumeration.buffer());
+  EXPECT_THROW(TypeCode::decode(enum_dec), CdrError);
+}
+
 }  // namespace
 }  // namespace maqs::cdr

@@ -241,9 +241,11 @@ TEST_F(ReplicationTest, PassiveModePrimaryServesAlone) {
   auto backup_a = add_replica();
   auto backup_b = add_replica();
 
-  // Passive (primary-backup): the request goes unicast to the reference's
-  // leading profile; backups see no traffic.
-  EchoStub stub = make_stub("passive", 1);
+  // Primary-backup is not a module mode: with no module assigned the QoS
+  // transport falls back to the plain path, which sends to the group
+  // reference's leading profile (the primary); backups see no traffic.
+  EXPECT_THROW(make_stub("passive", 1), core::QosError);
+  EchoStub stub(client_, group_.group_reference());
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(stub.add(i, i), 2 * i);
   }

@@ -49,6 +49,36 @@ class TracingImpl : public QosImpl, public StreamingTransform {
   std::vector<std::string>& trace_;
 };
 
+/// Logs every Fig. 2 step it takes part in, tagged with its
+/// characteristic; its prolog throws after logging when asked to.
+class StepImpl : public QosImpl, public StreamingTransform {
+ public:
+  StepImpl(const std::string& characteristic, std::vector<std::string>& trace,
+           bool prolog_throws = false)
+      : QosImpl(characteristic), trace_(trace), prolog_throws_(prolog_throws) {}
+
+  void prolog(orb::ServerContext&) override {
+    trace_.push_back("prolog:" + characteristic());
+    if (prolog_throws_) throw QosError("prolog refuses the call");
+  }
+  void epilog(orb::ServerContext&) override {
+    trace_.push_back("epilog:" + characteristic());
+  }
+  StreamingTransform* streaming_transform() override { return this; }
+  const std::string& label() const override { return characteristic(); }
+  std::size_t forward_overhead() const noexcept override { return 0; }
+  void reverse(ChainBuf&, const TransformContext&) override {
+    trace_.push_back("args:" + characteristic());
+  }
+  void forward(ChainBuf&, const TransformContext&) override {
+    trace_.push_back("result:" + characteristic());
+  }
+
+ private:
+  std::vector<std::string>& trace_;
+  bool prolog_throws_;
+};
+
 class WeavingTest : public ::testing::Test {
  protected:
   WeavingTest()
@@ -113,6 +143,30 @@ TEST_F(WeavingTest, PrologEpilogBracketEveryAppOperation) {
   trace_.clear();
   stub.echo("x");
   EXPECT_EQ(trace_.size(), 4u);
+}
+
+TEST_F(WeavingTest, ThrowingPrologSkipsEveryLaterStep) {
+  impl_->install_impl(std::make_shared<StepImpl>("FT", trace_));
+  impl_->install_impl(
+      std::make_shared<StepImpl>("LB", trace_, /*prolog_throws=*/true));
+  EchoStub stub(client_, ref_);
+  EXPECT_THROW(stub.add(1, 2), orb::SystemException);
+  // LB's prolog logged, then threw: no argument transform, application
+  // call, result transform or epilog follows.
+  EXPECT_EQ(trace_, (std::vector<std::string>{"prolog:FT", "prolog:LB"}));
+  EXPECT_EQ(impl_->calls, 0);
+}
+
+TEST_F(WeavingTest, ThrowingAppSkipsResultTransformsAndEpilogs) {
+  impl_->install_impl(std::make_shared<StepImpl>("FT", trace_));
+  impl_->install_impl(std::make_shared<StepImpl>("LB", trace_));
+  EchoStub stub(client_, ref_);
+  EXPECT_THROW(stub.boom(), orb::UserException);
+  // Both prologs and the argument transforms (reverse installation order)
+  // ran before the application raised; nothing after it did.
+  EXPECT_EQ(trace_, (std::vector<std::string>{"prolog:FT", "prolog:LB",
+                                              "args:LB", "args:FT"}));
+  EXPECT_EQ(impl_->calls, 1);
 }
 
 TEST_F(WeavingTest, DelegateExchangeAtRuntime) {

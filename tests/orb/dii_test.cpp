@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cdr/encoder.hpp"
 #include "net/network.hpp"
 #include "support/echo.hpp"
 
@@ -86,6 +87,12 @@ TEST_F(DiiTest, SendCommandWithoutTransportRaises) {
   EXPECT_THROW(
       send_command(client_, ref_.endpoint, "", "list_modules", {}),
       NoQosTransport);
+}
+
+TEST_F(DiiTest, CommandArgsRejectCountPastTheInput) {
+  cdr::Encoder enc;
+  enc.write_u32(0xFFFFFFFFu);
+  EXPECT_THROW(decode_command_args(enc.buffer()), cdr::CdrError);
 }
 
 }  // namespace

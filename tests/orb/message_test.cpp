@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cdr/decoder.hpp"
 #include "orb/exceptions.hpp"
 #include "util/bytes.hpp"
@@ -115,6 +117,15 @@ TEST(Message, StatusNames) {
   EXPECT_STREQ(reply_status_name(ReplyStatus::kOk), "OK");
   EXPECT_STREQ(reply_status_name(ReplyStatus::kNotNegotiated),
                "NOT_NEGOTIATED");
+}
+
+TEST(Message, DecodeRejectsContextCountPastTheInput) {
+  util::Bytes wire = RequestMessage{}.encode();
+  // With empty strings the context count follows magic (1), id (8), kind
+  // (1), qos flag (1) and three 4-byte string lengths: offset 23.
+  const util::Bytes count = {0xFF, 0xFF, 0xFF, 0xFF};
+  std::copy(count.begin(), count.end(), wire.begin() + 23);
+  EXPECT_THROW(RequestMessage::decode(wire), cdr::CdrError);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "qidl/generated_support.hpp"
 #include "qidl/sema.hpp"
 
 namespace maqs::qidl {
@@ -201,6 +202,15 @@ TEST(Emitter, PeerAndAspectOpsInImplBase) {
       code, "virtual std::vector<std::uint8_t> qos_get_state() = 0;"));
   EXPECT_TRUE(contains(code, "_op == \"qos_set_state\""));
   EXPECT_TRUE(contains(code, "_op == \"qos_sync\""));
+}
+
+// The runtime support generated code unmarshals sequences through.
+TEST(GeneratedSupport, SequenceCountPastTheInputRejected) {
+  cdr::Encoder enc;
+  enc.write_u32(0xFFFFFFFFu);
+  cdr::Decoder dec(enc.buffer());
+  std::vector<std::int32_t> values;
+  EXPECT_THROW(gen::read(dec, values), cdr::CdrError);
 }
 
 }  // namespace
