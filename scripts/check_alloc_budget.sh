@@ -33,7 +33,7 @@ BUDGETS = {
     ("woven_renegotiated", "add"): 12.0,
     # Edge gateway rows: one keep-alive HTTP round trip including JSON
     # (or MTOM multipart) translation and the DII bridge. Tracked steady
-    # state is 22/30/36 allocs/request; budgets leave ~25% headroom so a
+    # state is 21/29/35 allocs/request; budgets leave ~30% headroom so a
     # copy sneaking into the parse->marshal->invoke path still trips.
     ("gateway_json", "add"): 28.0,
     ("gateway_json", "echo"): 38.0,

@@ -1,6 +1,5 @@
 #include "sim/event_loop.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace maqs::sim {
@@ -12,67 +11,100 @@ EventId EventLoop::schedule(Duration delay, Handler fn) {
 
 EventId EventLoop::schedule_at(TimePoint when, Handler fn) {
   if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  queue_.push(Entry{when, next_seq_++, id, std::move(fn)});
-  return id;
+  std::uint32_t index;
+  if (free_slots_.empty()) {
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.when = when;
+  slot.seq = next_seq_++;
+  slot.fn = std::move(fn);
+  heap_.push_back(index);
+  sift_up(heap_.size() - 1);
+  return (EventId{slot.generation} << 32) | index;
 }
 
 bool EventLoop::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  // We cannot remove from the middle of a priority queue; mark instead and
-  // skip on pop.
-  const bool inserted = cancelled_ids_.insert(id).second;
-  // Tombstones are normally reclaimed on pop, but when virtual time never
-  // reaches them (a tight loop arming and cancelling far-future timeouts,
-  // as every blocking RPC does) they would accumulate without bound.
-  // Compact once they dominate the queue; the rebuild amortizes to O(1)
-  // per cancel. The threshold is deliberately high: compacting eagerly
-  // keeps the heap vector tiny, which lets glibc return the arena's top
-  // pages to the kernel between requests when the workload also cycles
-  // large short-lived buffers — the resulting per-request page-fault churn
-  // costs far more than the tombstones (observed 2.5x on the woven
-  // bench_f4 path at a threshold of 64).
-  // The ratio test alone is not enough: with a large *live* backlog (a
-  // population world keeps one armed far-future timer per client) the
-  // queue size drags the purge threshold up with it, and a long-horizon
-  // schedule-and-cancel loop grows the set to half the population before
-  // ever compacting. kMaxTombstones caps the set absolutely; the O(queue)
-  // sweep then amortizes to O(queue / kMaxTombstones) per cancel.
-  if (inserted && ((cancelled_ids_.size() > 1024 &&
-                    cancelled_ids_.size() * 2 > queue_.size()) ||
-                   cancelled_ids_.size() > kMaxTombstones)) {
-    purge_cancelled();
-  }
-  return inserted;
+  const auto index = static_cast<std::uint32_t>(id);
+  if (index >= slots_.size()) return false;
+  const Slot& slot = slots_[index];
+  // A run or cancelled event's slot is free or carries a newer generation.
+  if (slot.heap_pos == kFree || slot.generation != id >> 32) return false;
+  // Dropped at the end of this scope, once the loop is consistent again.
+  const Handler dropped = take(index);
+  return true;
 }
 
-void EventLoop::purge_cancelled() {
-  std::vector<Entry>& entries = queue_.container();
-  std::erase_if(entries, [this](const Entry& entry) {
-    return cancelled_ids_.contains(entry.id);
-  });
-  std::make_heap(entries.begin(), entries.end(), Later{});
-  // Anything left in the set refers to an event that already ran (cancel
-  // after execution): stale either way.
-  cancelled_ids_.clear();
+EventLoop::Handler EventLoop::take(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  const std::size_t pos = slot.heap_pos;
+  const std::uint32_t last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    place(pos, last);
+    if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
+      sift_up(pos);
+    } else {
+      sift_down(pos);
+    }
+  }
+  slot.heap_pos = kFree;
+  if (++slot.generation == 0) slot.generation = 1;
+  free_slots_.push_back(index);
+  return std::move(slot.fn);
+}
+
+bool EventLoop::before(std::uint32_t a, std::uint32_t b) const noexcept {
+  const Slot& x = slots_[a];
+  const Slot& y = slots_[b];
+  return x.when != y.when ? x.when < y.when : x.seq < y.seq;
+}
+
+void EventLoop::place(std::size_t pos, std::uint32_t slot) noexcept {
+  heap_[pos] = slot;
+  slots_[slot].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+void EventLoop::sift_up(std::size_t pos) noexcept {
+  const std::uint32_t index = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(index, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, index);
+}
+
+void EventLoop::sift_down(std::size_t pos) noexcept {
+  const std::uint32_t index = heap_[pos];
+  const std::size_t size = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], index)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, index);
+}
+
+void EventLoop::run_next() {
+  const std::uint32_t index = heap_.front();
+  now_ = slots_[index].when;
+  // Freed before it runs: the handler may schedule into its own slot, and
+  // cancelling its own id from inside is then a stale no-op.
+  const Handler fn = take(index);
+  fn();
 }
 
 bool EventLoop::step() {
-  for (;;) {
-    while (!queue_.empty()) {
-      // Move, don't copy: the handler may own an in-flight message payload,
-      // and top() only hands out a const ref. The moved-from entry keeps its
-      // scalar ordering fields, so the pop's sift stays well-defined.
-      Entry entry = std::move(const_cast<Entry&>(queue_.top()));
-      queue_.pop();
-      if (auto it = cancelled_ids_.find(entry.id); it != cancelled_ids_.end()) {
-        cancelled_ids_.erase(it);
-        continue;
-      }
-      now_ = entry.when;
-      entry.fn();
-      return true;
-    }
+  if (heap_.empty()) {
     // The queue is about to drain: give the owner one chance to flush
     // deferred work. The guard keeps a hook that pumps the loop itself
     // (e.g. a blocking dispatch) from re-entering its own flush.
@@ -80,8 +112,10 @@ bool EventLoop::step() {
     in_drain_hook_ = true;
     const bool flushed = drain_hook_();
     in_drain_hook_ = false;
-    if (!flushed || queue_.empty()) return false;
+    if (!flushed || heap_.empty()) return false;
   }
+  run_next();
+  return true;
 }
 
 std::size_t EventLoop::run_until_idle() {
@@ -99,18 +133,8 @@ bool EventLoop::run_until(const std::function<bool()>& pred) {
 
 void EventLoop::run_for(Duration duration) {
   const TimePoint deadline = now_ + duration;
-  // step() would run the next *non-cancelled* event even when that event is
-  // past the deadline (cancelled entries at the queue head hide it), so pop
-  // explicitly here.
-  while (!queue_.empty() && queue_.top().when <= deadline) {
-    Entry entry = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    if (auto it = cancelled_ids_.find(entry.id); it != cancelled_ids_.end()) {
-      cancelled_ids_.erase(it);
-      continue;
-    }
-    now_ = entry.when;
-    entry.fn();
+  while (!heap_.empty() && slots_[heap_.front()].when <= deadline) {
+    run_next();
   }
   now_ = deadline;
 }

@@ -7,19 +7,27 @@
 // server that calls another server mid-request behaves like a nested message
 // loop. This mirrors how a CORBA ORB's work queue behaves for collocated
 // re-entrant invocations.
+//
+// Every pending event owns one slot in a table; a single binary heap of
+// slot indices orders them by (when, seq), and each slot records its heap
+// position. cancel() therefore removes an event outright in O(log n) —
+// every blocking call arms a reply timeout and cancels it when the reply
+// lands, so nothing dead is left behind for later pops to skip. Freed
+// slots are reused, so the table only grows to the most events ever
+// pending at once. A handler is moved out of its slot once, when it runs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/clock.hpp"
 
 namespace maqs::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled: the slot index in
+/// the low 32 bits, the slot's generation in the high 32. Generations
+/// start at 1, so 0 never names an event.
 using EventId = std::uint64_t;
 
 class EventLoop {
@@ -39,29 +47,16 @@ class EventLoop {
   /// Schedules `fn` at an absolute virtual time (past times run "now").
   EventId schedule_at(TimePoint when, Handler fn);
 
-  /// Cancels a pending event. Returns false if it already ran or never
-  /// existed. Cancelling during execution of the event itself is a no-op.
+  /// Cancels a pending event. Returns false, changing nothing, if the
+  /// event already ran or was cancelled, or the id never named one.
+  /// Cancelling during execution of the event itself is such a no-op.
   bool cancel(EventId id);
 
-  /// Number of pending (non-cancelled) events. Clamped: cancelling ids
-  /// that already ran leaves stale tombstones which may momentarily
-  /// outnumber queue entries.
-  std::size_t pending() const noexcept {
-    const std::size_t tombs = cancelled_ids_.size();
-    return queue_.size() > tombs ? queue_.size() - tombs : 0;
-  }
+  /// Number of pending (scheduled, not yet run, not cancelled) events.
+  std::size_t pending() const noexcept { return heap_.size(); }
 
-  /// Cancelled-but-uncollected tombstones (observability; bounded by
-  /// kMaxTombstones + 1 at all times).
-  std::size_t cancelled_backlog() const noexcept {
-    return cancelled_ids_.size();
-  }
-
-  /// Hard ceiling on tombstone accumulation: cancel() compacts whenever
-  /// the set grows past this, independent of queue size, so a world with
-  /// a huge *live* backlog (a million armed client timers) cannot drag
-  /// the ratio-based purge threshold up with it.
-  static constexpr std::size_t kMaxTombstones = 4096;
+  /// Size of the slot table: the most events ever pending at once.
+  std::size_t slot_count() const noexcept { return slots_.size(); }
 
   /// Runs events until the queue is empty. Returns the number executed.
   std::size_t run_until_idle();
@@ -84,35 +79,39 @@ class EventLoop {
   void run_for(Duration duration);
 
  private:
-  struct Entry {
-    TimePoint when;
-    std::uint64_t seq;  // FIFO tie-break for simultaneous events
-    EventId id;
+  /// heap_pos of a slot that holds no pending event.
+  static constexpr std::uint32_t kFree = UINT32_MAX;
+
+  struct Slot {
+    TimePoint when = 0;
+    std::uint64_t seq = 0;  // FIFO tie-break for simultaneous events
     Handler fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+    std::uint32_t generation = 1;  // bumped each time the slot is freed
+    std::uint32_t heap_pos = kFree;
   };
 
-  /// Exposes the underlying container so purge_cancelled() can compact it.
-  struct Queue : std::priority_queue<Entry, std::vector<Entry>, Later> {
-    std::vector<Entry>& container() noexcept { return c; }
-  };
+  /// True when slot `a`'s event runs before slot `b`'s.
+  bool before(std::uint32_t a, std::uint32_t b) const noexcept;
+  /// Stores `slot` at heap position `pos` and records the position.
+  void place(std::size_t pos, std::uint32_t slot) noexcept;
+  void sift_up(std::size_t pos) noexcept;
+  void sift_down(std::size_t pos) noexcept;
 
-  /// Pops and runs the earliest event; returns false if the queue is empty.
+  /// Unlinks `slot` from the heap and frees it for reuse, handing back
+  /// its handler; the caller runs or drops the handler afterwards.
+  Handler take(std::uint32_t slot);
+
+  /// Runs the earliest pending event; the heap must not be empty.
+  void run_next();
+
+  /// Runs the earliest event; returns false if the queue is empty.
   bool step();
-
-  /// Removes cancelled entries still in the queue and rebuilds the heap.
-  void purge_cancelled();
 
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  Queue queue_;
-  std::unordered_set<EventId> cancelled_ids_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> heap_;  // slot indices, min-heap on (when, seq)
+  std::vector<std::uint32_t> free_slots_;
   std::function<bool()> drain_hook_;
   bool in_drain_hook_ = false;
 };

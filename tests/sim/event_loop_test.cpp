@@ -179,29 +179,30 @@ TEST(EventLoop, EventAtExactDeadlineRuns) {
 }
 
 TEST(EventLoop, TombstoneBacklogStaysBoundedOverAMillionCancelCycles) {
-  // Regression: with only the ratio-based purge, a large persistent live
-  // backlog (here 100k armed far-future timers, standing in for one timer
-  // per client in a population world) drags the purge threshold up with
-  // the queue size, and a long-horizon schedule-and-cancel loop grows
-  // cancelled_ids_ to half the population. The absolute cap must keep the
-  // tombstone set bounded regardless of how big the live queue is.
+  // Regression: a large persistent live backlog (here 100k armed
+  // far-future timers, standing in for one timer per client in a
+  // population world) once let a long-horizon schedule-and-cancel loop
+  // pile up cancelled entries the queue could not drop. Cancel now removes
+  // the event outright and frees its slot for the next schedule, so the
+  // slot table never grows past the live events plus the one in flight.
   EventLoop loop;
   int fired = 0;
   for (int i = 0; i < 100'000; ++i) {
     loop.schedule(1'000'000'000 + i, [&] { ++fired; });
   }
-  std::size_t max_backlog = 0;
+  std::size_t max_slots = 0;
   for (int i = 0; i < 1'000'000; ++i) {
     // The blocking-RPC shape: arm a far-future timeout, then cancel it
-    // when the (instant) reply lands. Virtual time never reaches the
-    // entry, so only compaction can reclaim it.
+    // when the (instant) reply lands. Virtual time never reaches it.
     const EventId timeout = loop.schedule(2'000'000'000, [] {});
     ASSERT_TRUE(loop.cancel(timeout));
-    max_backlog = std::max(max_backlog, loop.cancelled_backlog());
+    ASSERT_EQ(loop.pending(), 100'000u);
+    ASSERT_EQ(fired, 0);
+    max_slots = std::max(max_slots, loop.slot_count());
   }
-  EXPECT_LE(max_backlog, EventLoop::kMaxTombstones + 1);
-  EXPECT_EQ(loop.pending(), 100'000u);
-  EXPECT_EQ(fired, 0);
+  EXPECT_LE(max_slots, 100'001u);
+  EXPECT_EQ(loop.run_until_idle(), 100'000u);
+  EXPECT_EQ(fired, 100'000);
 }
 
 TEST(EventLoop, StaleCancelsCannotUnderflowPending) {
@@ -211,10 +212,44 @@ TEST(EventLoop, StaleCancelsCannotUnderflowPending) {
     ids.push_back(loop.schedule(i, [] {}));
   }
   loop.run_until_idle();
-  // Cancelling after execution is documented as a late no-op; the stale
-  // tombstones it leaves must not wrap pending() below zero.
+  // Cancelling after execution is a late no-op and must not disturb the
+  // pending count.
   for (EventId id : ids) loop.cancel(id);
   EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, CancelAfterRunReturnsFalse) {
+  EventLoop loop;
+  bool ran = false;
+  const EventId id = loop.schedule(5, [&] { ran = true; });
+  loop.run_until_idle();
+  ASSERT_TRUE(ran);
+  EXPECT_FALSE(loop.cancel(id));
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, CancellingItsOwnIdFromInsideTheHandlerReturnsFalse) {
+  EventLoop loop;
+  EventId self = 0;
+  bool cancelled = true;
+  self = loop.schedule(5, [&] { cancelled = loop.cancel(self); });
+  EXPECT_EQ(loop.run_until_idle(), 1u);
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, StaleIdCannotCancelTheEventThatReusesItsSlot) {
+  EventLoop loop;
+  const EventId first = loop.schedule(5, [] {});
+  ASSERT_TRUE(loop.cancel(first));
+  bool ran = false;
+  const EventId second = loop.schedule(5, [&] { ran = true; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(loop.cancel(first));
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_until_idle();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(loop.slot_count(), 1u);
 }
 
 }  // namespace
