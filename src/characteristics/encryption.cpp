@@ -5,7 +5,6 @@
 
 #include "cdr/decoder.hpp"
 #include "cdr/encoder.hpp"
-#include "crypto/mac.hpp"
 #include "orb/dii.hpp"
 #include "util/rng.hpp"
 
@@ -112,11 +111,13 @@ void EncryptionTransform::forward(core::ChainBuf& buf,
     }
     buf.adopt(region, reserve + 16, n);
   }
-  crypto::XteaCtr(key, nonce).apply_in_place(buf.mutable_span());
-  const std::uint64_t tag = source_->integrity_for(epoch)
-                                ? crypto::mac64(key_fingerprint(key),
-                                                buf.view())
-                                : 0;
+  const crypto::XteaCtr cipher(key, nonce);
+  std::uint64_t tag = 0;
+  if (source_->integrity_for(epoch)) {
+    tag = cipher.seal(buf.mutable_span(), key_fingerprint(key));
+  } else {
+    cipher.apply_in_place(buf.mutable_span());
+  }
   // [epoch:i64 LE][mac:u64 LE] — byte-identical to the legacy
   // cdr::Encoder-built frame header.
   std::uint8_t* hdr = buf.prepend(16);
@@ -134,11 +135,12 @@ void EncryptionTransform::reverse(core::ChainBuf& buf,
   const std::uint64_t tag = dec.read_u64();
   buf.drop_front(16);
   const crypto::Key128& key = source_->key_for(epoch);
-  if (source_->integrity_for(epoch) &&
-      !crypto::mac_verify(key_fingerprint(key), buf.view(), tag)) {
+  const crypto::XteaCtr cipher(key, nonce);
+  if (!source_->integrity_for(epoch)) {
+    cipher.apply_in_place(buf.mutable_span());
+  } else if (!cipher.open(buf.mutable_span(), key_fingerprint(key), tag)) {
     throw core::QosError("encryption: integrity check failed");
   }
-  crypto::XteaCtr(key, nonce).apply_in_place(buf.mutable_span());
   // Tell downstream reverse stages (the compression codec) which
   // agreement version sealed this frame.
   ctx.frame_version = epoch;

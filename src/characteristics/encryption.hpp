@@ -39,7 +39,9 @@
 // Both variants drive one EncryptionTransform streaming stage that
 // enciphers the payload in place over arena-owned storage and prepends
 // the [epoch:i64][mac:u64] header into pre-reserved headroom — the frame
-// bytes are identical to the legacy seal/open copy path.
+// bytes are identical to the legacy seal/open copy path. With integrity
+// on, XteaCtr::seal/open compute the tag inside the cipher's pass, and a
+// frame that fails it is left as it arrived.
 #pragma once
 
 #include <map>

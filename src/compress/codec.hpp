@@ -12,9 +12,11 @@
 // materializes an intermediate vector per stage. compress_into treats
 // that storage as a budget and gives up as soon as the stream cannot come
 // in under it, so a stage that only keeps streams shorter than the
-// payload never pays for one it would discard. compress()/decompress()
-// return fresh Bytes for tools and tests; they are fixed wrappers over
-// the streaming calls, so both shapes produce the same stream.
+// payload never pays for one it would discard (rle gives up before
+// writing anything when a lower bound on its stream already reaches the
+// budget). compress()/decompress() return fresh Bytes for tools and
+// tests; they are fixed wrappers over the streaming calls, so both
+// shapes produce the same stream.
 #pragma once
 
 #include <memory>

@@ -10,7 +10,40 @@ namespace {
 // GCC/Clang vector extensions, as in crypto/xtea.cpp: the same source
 // compiles to SSE2 (baseline x86-64), NEON, or scalar code elsewhere.
 typedef std::uint8_t u8x16 __attribute__((vector_size(16)));
+typedef std::int8_t i8x16 __attribute__((vector_size(16)));
 typedef std::uint16_t u16x16 __attribute__((vector_size(32)));
+
+/// True when the stream for non-empty `input` cannot come in under
+/// `budget`. Every byte that differs from its successor ends a run and
+/// every run is a 2-byte pair, so the stream is at least
+/// 2 * (transitions + 1) bytes. Transitions are counted 16 at a time in
+/// byte lanes, which are summed every 128 bytes (at most 8 per lane) to
+/// stop as soon as the bound reaches the budget, or can no longer reach
+/// it even if every byte left ended a run (so a compressible input is
+/// counted only about halfway at budget n).
+bool over_budget(util::BytesView input, std::size_t budget) noexcept {
+  const std::uint8_t* p = input.data();
+  const std::size_t n = input.size();
+  std::size_t runs = 1;
+  std::size_t i = 0;
+  while (n - i >= 17) {
+    i8x16 counts{};
+    for (int block = 0; block < 8 && n - i >= 17; ++block, i += 16) {
+      u8x16 here{};
+      u8x16 next{};
+      std::memcpy(&here, p + i, 16);
+      std::memcpy(&next, p + i + 1, 16);
+      counts -= here != next;  // lanes of -1 where a run ends
+    }
+    std::uint64_t halves[2] = {};
+    std::memcpy(halves, &counts, 16);
+    runs += ((halves[0] + halves[1]) * 0x0101010101010101ULL) >> 56;
+    if (2 * runs >= budget) return true;
+    if (2 * (runs + n - 1 - i) < budget) return false;
+  }
+  for (; i + 1 < n; ++i) runs += p[i] != p[i + 1];
+  return 2 * runs >= budget;
+}
 
 /// Writes the (1, byte) pairs for the leading bytes of p[0..16) that
 /// differ from their successor (p[16] must be readable) into out[0..32)
@@ -47,6 +80,7 @@ std::size_t RleCodec::max_compressed_size(std::size_t n) const { return 2 * n; }
 std::size_t RleCodec::compress_into(util::BytesView input,
                                     std::span<std::uint8_t> out) const {
   const std::size_t n = input.size();
+  if (n != 0 && over_budget(input, out.size())) return out.size();
   std::size_t w = 0;
   std::size_t i = 0;
   while (i < n) {

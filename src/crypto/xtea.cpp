@@ -1,8 +1,11 @@
 #include "crypto/xtea.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
+#include "crypto/mac.hpp"
+#include "crypto/xtea_kernels.hpp"
 #include "util/bytes.hpp"
 
 namespace maqs::crypto {
@@ -46,250 +49,209 @@ namespace {
 
 constexpr std::uint32_t kDelta = 0x9E3779B9;
 
-// 16 CTR blocks (128 bytes of keystream) per kernel call. The per-block
-// round chain is strictly serial (~5-cycle latency per half-round), so a
-// single vector of lanes leaves the ALU ports mostly idle; independent
-// lane GROUPS interleave their chains and fill the gaps. Lane k produces
-// exactly encrypt_block(in[k], key) — the keystream matches the scalar
-// path bit for bit, so the wire format is unchanged.
-//
-// GCC/Clang vector extensions rather than intrinsics: the same source
-// compiles to SSE2 (baseline x86-64), NEON, or scalar code elsewhere.
-typedef std::uint32_t u32x4 __attribute__((vector_size(16)));
-
-void block16_v128(const Key128& key, const std::uint64_t in[16],
-                  std::uint64_t out[16]) noexcept {
-  u32x4 g0[4];
-  u32x4 g1[4];
-  for (int g = 0; g < 4; ++g) {
-    for (int l = 0; l < 4; ++l) {
-      g0[g][l] = static_cast<std::uint32_t>(in[g * 4 + l]);
-      g1[g][l] = static_cast<std::uint32_t>(in[g * 4 + l] >> 32);
-    }
+// Keystream words are little-endian on the wire.
+std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
   }
-  std::uint32_t sum = 0;
-  for (int round = 0; round < 32; ++round) {
-    const std::uint32_t k0 = sum + key[sum & 3];
-    for (int g = 0; g < 4; ++g) {
-      g0[g] += (((g1[g] << 4) ^ (g1[g] >> 5)) + g1[g]) ^ k0;
-    }
-    sum += kDelta;
-    const std::uint32_t k1 = sum + key[(sum >> 11) & 3];
-    for (int g = 0; g < 4; ++g) {
-      g1[g] += (((g0[g] << 4) ^ (g0[g] >> 5)) + g0[g]) ^ k1;
-    }
-  }
-  for (int g = 0; g < 4; ++g) {
-    for (int l = 0; l < 4; ++l) {
-      out[g * 4 + l] = static_cast<std::uint64_t>(g0[g][l]) |
-                       (static_cast<std::uint64_t>(g1[g][l]) << 32);
-    }
-  }
+  return w;
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
-// Same kernel widened to 8-lane vectors, compiled for AVX2 regardless of
-// the global -march (per-function target attribute) and selected at run
-// time. Two groups of 8 lanes keep the interleaving factor.
-typedef std::uint32_t u32x8 __attribute__((vector_size(32)));
-
-__attribute__((target("avx2"))) void block16_avx2(
-    const Key128& key, const std::uint64_t in[16],
-    std::uint64_t out[16]) noexcept {
-  u32x8 a0;
-  u32x8 a1;
-  u32x8 b0;
-  u32x8 b1;
-  for (int l = 0; l < 8; ++l) {
-    a0[l] = static_cast<std::uint32_t>(in[l]);
-    a1[l] = static_cast<std::uint32_t>(in[l] >> 32);
-    b0[l] = static_cast<std::uint32_t>(in[8 + l]);
-    b1[l] = static_cast<std::uint32_t>(in[8 + l] >> 32);
+void store_le64(std::uint8_t* p, std::uint64_t w) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
   }
-  std::uint32_t sum = 0;
-  for (int round = 0; round < 32; ++round) {
-    const std::uint32_t k0 = sum + key[sum & 3];
-    a0 += (((a1 << 4) ^ (a1 >> 5)) + a1) ^ k0;
-    b0 += (((b1 << 4) ^ (b1 >> 5)) + b1) ^ k0;
-    sum += kDelta;
-    const std::uint32_t k1 = sum + key[(sum >> 11) & 3];
-    a1 += (((a0 << 4) ^ (a0 >> 5)) + a0) ^ k1;
-    b1 += (((b0 << 4) ^ (b0 >> 5)) + b0) ^ k1;
-  }
-  for (int l = 0; l < 8; ++l) {
-    out[l] = static_cast<std::uint64_t>(a0[l]) |
-             (static_cast<std::uint64_t>(a1[l]) << 32);
-    out[8 + l] = static_cast<std::uint64_t>(b0[l]) |
-                 (static_cast<std::uint64_t>(b1[l]) << 32);
-  }
+  std::memcpy(p, &w, 8);
 }
-#endif
-
-using Block16Fn = void (*)(const Key128&, const std::uint64_t*,
-                           std::uint64_t*);
-
-Block16Fn pick_block16() noexcept {
-#if defined(__x86_64__) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx2")) return block16_avx2;
-#endif
-  return block16_v128;
-}
-
-const Block16Fn g_block16 = pick_block16();
 
 // ---- 32-block (256-byte) kernels ----
 //
-// The 16-block kernels above are latency-bound, not throughput-bound: the
-// round chain has a ~4-cycle dependency per half-round, and 2 interleaved
-// chains (AVX2) leave vector ports idle most cycles. Doubling the batch to
-// 32 blocks adds independent chains — 4x8 on AVX2, 2x16 on AVX-512 — so
-// the chains' latencies overlap and the same serial rounds finish in
-// roughly half the wall time per byte. Lane k still produces exactly
-// encrypt_block(in[k], key); the wire format is unchanged.
+// One call makes 32 CTR blocks. A block's round chain is strictly serial
+// (~4-cycle latency per half-round), so one vector of lanes leaves the
+// ALU ports mostly idle; the 32 blocks split into independent lane groups
+// (8x4 generic, 4x8 AVX2, 2x16 AVX-512) whose chains interleave and fill
+// the gaps. The MAC's two multiply chains are serial as well and run
+// beside them, one word per round, so authenticating a chunk costs no
+// pass of its own. Lane k produces exactly encrypt_block(in[k], key), so
+// the keystream matches the scalar path bit for bit.
+//
+// GCC/Clang vector extensions rather than intrinsics: the generic kernel
+// compiles to SSE2 (baseline x86-64), NEON, or scalar code elsewhere; the
+// wider ones are compiled for their ISA by a per-function target
+// attribute and picked at run time.
+typedef std::uint32_t u32x4 __attribute__((vector_size(16)));
 
-void block32_v128(const Key128& key, const std::uint64_t in[32],
-                  std::uint64_t out[32]) noexcept {
-  block16_v128(key, in, out);
-  block16_v128(key, in + 16, out + 16);
-}
-
-#if defined(__x86_64__) && defined(__GNUC__)
-__attribute__((target("avx2"))) void block32_avx2(
-    const Key128& key, const std::uint64_t in[32],
-    std::uint64_t out[32]) noexcept {
-  u32x8 g0[4];
-  u32x8 g1[4];
-  for (int g = 0; g < 4; ++g) {
-    for (int l = 0; l < 8; ++l) {
-      g0[g][l] = static_cast<std::uint32_t>(in[g * 8 + l]);
-      g1[g][l] = static_cast<std::uint32_t>(in[g * 8 + l] >> 32);
+template <typename V>
+[[gnu::always_inline]] inline void rounds32(
+    const Key128& key, const std::uint64_t* in, std::uint64_t* out,
+    Mac64& mac, const std::uint8_t* words, std::size_t n_words) noexcept {
+  constexpr int kLanes = sizeof(V) / sizeof(std::uint32_t);
+  constexpr int kGroups = 32 / kLanes;
+  V v0[kGroups] = {};
+  V v1[kGroups] = {};
+  for (int g = 0; g < kGroups; ++g) {
+    for (int l = 0; l < kLanes; ++l) {
+      v0[g][l] = static_cast<std::uint32_t>(in[g * kLanes + l]);
+      v1[g][l] = static_cast<std::uint32_t>(in[g * kLanes + l] >> 32);
     }
   }
+  Mac64 m = mac;
   std::uint32_t sum = 0;
-  for (int round = 0; round < 32; ++round) {
+  for (std::size_t round = 0; round < 32; ++round) {
     const std::uint32_t k0 = sum + key[sum & 3];
-    for (int g = 0; g < 4; ++g) {
-      g0[g] += (((g1[g] << 4) ^ (g1[g] >> 5)) + g1[g]) ^ k0;
+    for (int g = 0; g < kGroups; ++g) {
+      v0[g] += (((v1[g] << 4) ^ (v1[g] >> 5)) + v1[g]) ^ k0;
     }
     sum += kDelta;
     const std::uint32_t k1 = sum + key[(sum >> 11) & 3];
-    for (int g = 0; g < 4; ++g) {
-      g1[g] += (((g0[g] << 4) ^ (g0[g] >> 5)) + g0[g]) ^ k1;
+    for (int g = 0; g < kGroups; ++g) {
+      v1[g] += (((v0[g] << 4) ^ (v0[g] >> 5)) + v0[g]) ^ k1;
     }
+    if (round < n_words) m.absorb(words + 8 * round);
   }
-  for (int g = 0; g < 4; ++g) {
-    for (int l = 0; l < 8; ++l) {
-      out[g * 8 + l] = static_cast<std::uint64_t>(g0[g][l]) |
-                       (static_cast<std::uint64_t>(g1[g][l]) << 32);
+  mac = m;
+  for (int g = 0; g < kGroups; ++g) {
+    for (int l = 0; l < kLanes; ++l) {
+      out[g * kLanes + l] = static_cast<std::uint64_t>(v0[g][l]) |
+                            (static_cast<std::uint64_t>(v1[g][l]) << 32);
     }
   }
 }
 
+void block32_generic(const Key128& key, const std::uint64_t* in,
+                     std::uint64_t* out, Mac64& mac,
+                     const std::uint8_t* words,
+                     std::size_t n_words) noexcept {
+  rounds32<u32x4>(key, in, out, mac, words, n_words);
+}
+
+bool always() noexcept { return true; }
+
+#if defined(__x86_64__) && defined(__GNUC__)
+typedef std::uint32_t u32x8 __attribute__((vector_size(32)));
 typedef std::uint32_t u32x16 __attribute__((vector_size(64)));
 
+__attribute__((target("avx2"))) void block32_avx2(
+    const Key128& key, const std::uint64_t* in, std::uint64_t* out,
+    Mac64& mac, const std::uint8_t* words, std::size_t n_words) noexcept {
+  rounds32<u32x8>(key, in, out, mac, words, n_words);
+}
+
 __attribute__((target("avx512f"))) void block32_avx512(
-    const Key128& key, const std::uint64_t in[32],
-    std::uint64_t out[32]) noexcept {
-  u32x16 a0;
-  u32x16 a1;
-  u32x16 b0;
-  u32x16 b1;
-  for (int l = 0; l < 16; ++l) {
-    a0[l] = static_cast<std::uint32_t>(in[l]);
-    a1[l] = static_cast<std::uint32_t>(in[l] >> 32);
-    b0[l] = static_cast<std::uint32_t>(in[16 + l]);
-    b1[l] = static_cast<std::uint32_t>(in[16 + l] >> 32);
-  }
-  std::uint32_t sum = 0;
-  for (int round = 0; round < 32; ++round) {
-    const std::uint32_t k0 = sum + key[sum & 3];
-    a0 += (((a1 << 4) ^ (a1 >> 5)) + a1) ^ k0;
-    b0 += (((b1 << 4) ^ (b1 >> 5)) + b1) ^ k0;
-    sum += kDelta;
-    const std::uint32_t k1 = sum + key[(sum >> 11) & 3];
-    a1 += (((a0 << 4) ^ (a0 >> 5)) + a0) ^ k1;
-    b1 += (((b0 << 4) ^ (b0 >> 5)) + b0) ^ k1;
-  }
-  for (int l = 0; l < 16; ++l) {
-    out[l] = static_cast<std::uint64_t>(a0[l]) |
-             (static_cast<std::uint64_t>(a1[l]) << 32);
-    out[16 + l] = static_cast<std::uint64_t>(b0[l]) |
-                  (static_cast<std::uint64_t>(b1[l]) << 32);
-  }
+    const Key128& key, const std::uint64_t* in, std::uint64_t* out,
+    Mac64& mac, const std::uint8_t* words, std::size_t n_words) noexcept {
+  rounds32<u32x16>(key, in, out, mac, words, n_words);
 }
+
+bool has_avx2() noexcept { return __builtin_cpu_supports("avx2") != 0; }
+bool has_avx512f() noexcept { return __builtin_cpu_supports("avx512f") != 0; }
 #endif
 
-using Block32Fn = void (*)(const Key128&, const std::uint64_t*,
-                           std::uint64_t*);
-
-Block32Fn pick_block32() noexcept {
+constexpr detail::Block32Kernel kKernels[] = {
 #if defined(__x86_64__) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx512f")) return block32_avx512;
-  if (__builtin_cpu_supports("avx2")) return block32_avx2;
+    {"avx512f", block32_avx512, has_avx512f},
+    {"avx2", block32_avx2, has_avx2},
 #endif
-  return block32_v128;
+    {"generic", block32_generic, always},
+};
+
+detail::Block32Fn pick_block32() noexcept {
+  for (const detail::Block32Kernel& kernel : kKernels) {
+    if (kernel.supported()) return kernel.run;
+  }
+  return block32_generic;
 }
 
-const Block32Fn g_block32 = pick_block32();
+const detail::Block32Fn g_block32 = pick_block32();
+
+/// XORs the first `len` bytes of the keystream words ks[] into p[].
+void xor_keystream(std::uint8_t* p, const std::uint64_t* ks,
+                   std::size_t len) noexcept {
+  std::size_t w = 0;
+  for (; 8 * w + 8 <= len; ++w) {
+    store_le64(p + 8 * w, load_le64(p + 8 * w) ^ ks[w]);
+  }
+  for (std::size_t b = 8 * w; b < len; ++b) {
+    p[b] ^= static_cast<std::uint8_t>(ks[w] >> (8 * (b - 8 * w)));
+  }
+}
 
 }  // namespace
 
-void XteaCtr::apply_in_place(std::span<std::uint8_t> data) const noexcept {
-  const Block16Fn kernel16 = g_block16;
-  const Block32Fn kernel32 = g_block32;
-  std::uint64_t counter = 0;
-  std::size_t i = 0;
+std::span<const detail::Block32Kernel> detail::block32_kernels() noexcept {
+  return kKernels;
+}
+
+void XteaCtr::walk(std::span<std::uint8_t> data, Mac64* mac,
+                   bool sealing) const noexcept {
+  const detail::Block32Fn kernel = g_block32;
+  Mac64 unused(0);
+  Mac64& m = mac != nullptr ? *mac : unused;
+  std::uint8_t* const p = data.data();
+  const std::size_t n = data.size();
+  std::size_t absorbed = 0;  // [0, absorbed) is in the MAC
+  const auto absorb_to = [&](std::size_t end) noexcept {
+    if (mac != nullptr) {
+      m.update({p + absorbed, end - absorbed});
+      absorbed = end;
+    }
+  };
+  // Not zeroed: `in` is filled before every kernel call and `ks` by the
+  // kernel; clearing 512 bytes is a visible share of a short frame's cost.
   std::uint64_t in[32];
   std::uint64_t ks[32];
-  // Bulk path: 32 blocks (256 bytes) per kernel call, stepping down to a
-  // 16-block call for a mid-size tail, whole-word XOR. Keystream words are
-  // little-endian on the wire; on a big-endian host the byte-wise tail
-  // loop below is the (slow but correct) route.
-  if constexpr (std::endian::native == std::endian::little) {
-    while (i + 256 <= data.size()) {
-      for (int l = 0; l < 32; ++l) in[l] = nonce_ ^ (counter + l);
-      kernel32(key_, in, ks);
-      for (int l = 0; l < 32; ++l) {
-        std::uint64_t word;
-        std::memcpy(&word, data.data() + i + 8 * l, 8);
-        word ^= ks[l];
-        std::memcpy(data.data() + i + 8 * l, &word, 8);
-      }
-      counter += 32;
-      i += 256;
-    }
-    while (i + 128 <= data.size()) {
-      for (int l = 0; l < 16; ++l) in[l] = nonce_ ^ (counter + l);
-      kernel16(key_, in, ks);
-      for (int l = 0; l < 16; ++l) {
-        std::uint64_t word;
-        std::memcpy(&word, data.data() + i + 8 * l, 8);
-        word ^= ks[l];
-        std::memcpy(data.data() + i + 8 * l, &word, 8);
-      }
-      counter += 16;
-      i += 128;
-    }
-    const std::size_t left = data.size() - i;
-    if (left > 32) {
-      // The tail is still several blocks: one more wide keystream chunk
-      // beats falling back to serial scalar blocks (the surplus keystream
-      // is simply discarded — CTR output is positional).
-      for (int l = 0; l < 16; ++l) in[l] = nonce_ ^ (counter + l);
-      kernel16(key_, in, ks);
-      std::uint8_t tail[128];
-      std::memcpy(tail, ks, 128);
-      for (std::size_t b = 0; b < left; ++b) data[i + b] ^= tail[b];
-      return;
-    }
+  std::uint64_t counter = 0;
+  std::size_t i = 0;
+  // Every chunk of up to 256 bytes takes one kernel call, a ragged last
+  // one too: CTR output is positional, so its surplus keystream is simply
+  // dropped. A call costs about two serial scalar blocks, so only a
+  // remainder of one block or less runs the scalar cipher.
+  while (n - i > 8) {
+    const std::size_t len = std::min<std::size_t>(n - i, 256);
+    for (std::uint64_t l = 0; l < 32; ++l) in[l] = nonce_ ^ (counter + l);
+    // Whole ciphertext words ride the rounds: the previous chunk's when
+    // sealing, this chunk's own (before its XOR) when opening.
+    const std::size_t words =
+        mac == nullptr
+            ? 0
+            : std::min<std::size_t>(
+                  ((sealing ? i : i + len) - absorbed) / 8, 32);
+    kernel(key_, in, ks, m, p + absorbed, words);
+    absorbed += 8 * words;
+    if (!sealing) absorb_to(i + len);
+    xor_keystream(p + i, ks, len);
+    counter += 32;
+    i += len;
   }
-  while (i < data.size()) {
-    const std::uint64_t keystream = encrypt_block(nonce_ ^ counter, key_);
-    ++counter;
-    for (int b = 0; b < 8 && i < data.size(); ++b, ++i) {
-      data[i] ^= static_cast<std::uint8_t>(keystream >> (8 * b));
-    }
+  if (i < n) {
+    const std::uint64_t last = encrypt_block(nonce_ ^ counter, key_);
+    if (!sealing) absorb_to(n);
+    xor_keystream(p + i, &last, n - i);
   }
+  absorb_to(n);
+}
+
+void XteaCtr::apply_in_place(std::span<std::uint8_t> data) const noexcept {
+  walk(data, nullptr, false);
+}
+
+std::uint64_t XteaCtr::seal(std::span<std::uint8_t> data,
+                            std::uint64_t mac_key) const noexcept {
+  Mac64 mac(mac_key);
+  walk(data, &mac, true);
+  return mac.finish(data.size());
+}
+
+bool XteaCtr::open(std::span<std::uint8_t> data, std::uint64_t mac_key,
+                   std::uint64_t tag) const noexcept {
+  Mac64 mac(mac_key);
+  walk(data, &mac, false);
+  if (mac.finish(data.size()) == tag) return true;
+  // Release nothing unverified: re-encrypt to the bytes as passed in.
+  walk(data, nullptr, false);
+  return false;
 }
 
 }  // namespace maqs::crypto

@@ -148,9 +148,12 @@ TEST_F(EncryptionTest, TamperingDetectedByIntegrityTag) {
   req.body = util::to_bytes("transfer 100");
   client_module.transform_request(req);
   req.body[req.body.size() - 1] ^= 0x01;  // flip one ciphertext bit
+  const util::Bytes arrived = req.body;
   auto& server_module = dynamic_cast<EncryptionModule&>(
       *server_transport_.find_module(encryption_module_name()));
   EXPECT_THROW(server_module.restore_request(req), core::QosError);
+  // Nothing unverified is released: the body is exactly what arrived.
+  EXPECT_EQ(req.body, arrived);
 }
 
 TEST_F(EncryptionTest, TrafficWithoutKeyRefused) {

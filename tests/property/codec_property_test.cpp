@@ -4,11 +4,13 @@
 //      size x redundancy grid.
 //  P2  lz77 decompression is total on random token soup (throws or
 //      returns, never crashes; output bounded).
-//  P3  XTEA-CTR is an involution for every (key, nonce, size); sealed
-//      frames open to the identity and reject any single-bit tamper.
-//  P4  rle compress_into (16-byte bulk path for runs of one) emits the
-//      byte-at-a-time reference stream at every budget, and never writes
-//      past the budget.
+//  P3  XTEA-CTR is an involution for every (key, nonce, size); seal is
+//      apply plus mac64 over the ciphertext at every size from 0 to 600,
+//      open inverts it, and a single-bit tamper makes open fail and leave
+//      the bytes as they arrived.
+//  P4  rle compress_into (lower-bound rejection, then the 16-byte bulk
+//      path for runs of one) emits the byte-at-a-time reference stream at
+//      every budget, and never writes past the budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -220,12 +222,43 @@ TEST_P(XteaP, MacRejectsEverySingleBitFlip) {
   for (std::size_t byte = 0; byte < data.size(); byte += 7) {
     for (int bit = 0; bit < 8; bit += 3) {
       data[byte] ^= static_cast<std::uint8_t>(1 << bit);
-      EXPECT_FALSE(crypto::mac_verify(key, data, tag))
+      EXPECT_NE(crypto::mac64(key, data), tag)
           << "byte " << byte << " bit " << bit;
       data[byte] ^= static_cast<std::uint8_t>(1 << bit);
     }
   }
-  EXPECT_TRUE(crypto::mac_verify(key, data, tag));
+  EXPECT_EQ(crypto::mac64(key, data), tag);
+}
+
+TEST_P(XteaP, SealIsApplyPlusMacAndOpenInvertsIt) {
+  util::Rng rng(GetParam() ^ 0x5EA1);
+  for (std::size_t size = 0; size <= 600; ++size) {
+    crypto::Key128 key;
+    for (auto& word : key) word = static_cast<std::uint32_t>(rng.next());
+    const crypto::XteaCtr cipher(key, rng.next());
+    const std::uint64_t mac_key = rng.next();
+    const util::Bytes plain = mixed_payload(rng, size, 0.3);
+    util::Bytes frame = plain;
+    const std::uint64_t tag = cipher.seal(frame, mac_key);
+    ASSERT_EQ(frame, cipher.apply(plain)) << "size " << size;
+    ASSERT_EQ(tag, crypto::mac64(mac_key, frame)) << "size " << size;
+    const util::Bytes sealed = frame;
+    // A wrong tag, or a flipped bit anywhere in the ciphertext, fails and
+    // releases nothing: the bytes stay as they arrived.
+    ASSERT_FALSE(cipher.open(frame, mac_key, tag ^ 1)) << "size " << size;
+    ASSERT_EQ(frame, sealed) << "size " << size;
+    if (size != 0) {
+      const std::size_t bit = rng.next_below(8 * size);
+      frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      const util::Bytes tampered = frame;
+      ASSERT_FALSE(cipher.open(frame, mac_key, tag))
+          << "size " << size << " bit " << bit;
+      ASSERT_EQ(frame, tampered) << "size " << size << " bit " << bit;
+      frame = sealed;
+    }
+    ASSERT_TRUE(cipher.open(frame, mac_key, tag)) << "size " << size;
+    ASSERT_EQ(frame, plain) << "size " << size;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XteaP, ::testing::Values(1u, 12u, 123u));
