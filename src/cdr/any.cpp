@@ -226,6 +226,15 @@ bool takes_no_octets(const TypeCode& type) {
 
 }  // namespace
 
+std::uint32_t read_sequence_count(Decoder& dec, const TypeCode& element) {
+  if (!takes_no_octets(element)) return dec.read_count();
+  // A valid sequence<void> may end the stream: elements that take no
+  // octets are held to the whole stream instead of the octets left.
+  const std::uint32_t n = dec.read_u32();
+  if (n > dec.size()) throw CdrError("any: element count exceeds stream");
+  return n;
+}
+
 Any Any::decode_value(Decoder& dec, const TypeCodePtr& type) {
   switch (type->kind()) {
     case TCKind::kVoid: return make_void();
@@ -247,17 +256,9 @@ Any Any::decode_value(Decoder& dec, const TypeCodePtr& type) {
       return Any(type, ordinal);
     }
     case TCKind::kSequence: {
-      std::uint32_t n = 0;
-      if (takes_no_octets(*type->element())) {
-        // A valid sequence<void> may end the stream: elements that take no
-        // octets are held to the whole stream instead of the octets left.
-        n = dec.read_u32();
-        if (n > dec.size()) throw CdrError("any: element count exceeds stream");
-      } else {
-        n = dec.read_count();
-      }
+      const std::uint32_t n = read_sequence_count(dec, *type->element());
       std::vector<Any> items;
-      items.reserve(n);
+      items.reserve(dec.reservable(n, sizeof(Any)));
       for (std::uint32_t i = 0; i < n; ++i) {
         items.push_back(decode_value(dec, type->element()));
       }

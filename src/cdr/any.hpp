@@ -96,4 +96,9 @@ class Any {
   Value value_;
 };
 
+/// Reads a sequence's element count from a peer's stream, as
+/// Any::decode_value does: rejected when larger than the octets left (or,
+/// for elements that encode to no octets, than the whole stream).
+std::uint32_t read_sequence_count(Decoder& dec, const TypeCode& element);
+
 }  // namespace maqs::cdr

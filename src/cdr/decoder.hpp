@@ -104,6 +104,20 @@ class Decoder {
     return n;
   }
 
+  /// How many of `n` peer-counted elements of `element_size` bytes a
+  /// decoder may reserve room for before reading them: all of them while
+  /// the reservations of this whole decode stay within kReserveBudget
+  /// bytes per octet of the stream, none once they would not. An honest
+  /// stream's elements pay for what it reserves, but nested decoders each
+  /// reserving for a peer's count would hold one such reservation per open
+  /// level before the first underflow.
+  std::uint32_t reservable(std::uint32_t n, std::size_t element_size) noexcept {
+    const std::size_t bytes = std::size_t{n} * element_size;
+    if (bytes > reserve_budget_) return 0;
+    reserve_budget_ -= bytes;
+    return n;
+  }
+
   /// Consumes the unread rest of the stream (no length prefix); QoS
   /// skeletons lift the raw argument stream out this way for their payload
   /// transforms. Same lifetime rule as read_string_view().
@@ -142,9 +156,12 @@ class Decoder {
     if (data_.size() - pos_ < n) throw CdrError("cdr: stream underflow");
   }
 
+  static constexpr std::size_t kReserveBudget = 16;
+
   util::Bytes owned_;  // only used by the owning constructor
   util::BytesView data_;
   std::size_t pos_ = 0;
+  std::size_t reserve_budget_ = kReserveBudget * data_.size();
 };
 
 }  // namespace maqs::cdr

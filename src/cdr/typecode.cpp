@@ -227,7 +227,7 @@ TypeCodePtr decode_nested(Decoder& dec, int depth) {
       std::string name = dec.read_string();
       const std::uint32_t n = dec.read_count();
       std::vector<std::pair<std::string, TypeCodePtr>> members;
-      members.reserve(n);
+      members.reserve(dec.reservable(n, sizeof(members[0])));
       for (std::uint32_t i = 0; i < n; ++i) {
         std::string member_name = dec.read_string();
         members.emplace_back(std::move(member_name),
@@ -239,7 +239,7 @@ TypeCodePtr decode_nested(Decoder& dec, int depth) {
       std::string name = dec.read_string();
       const std::uint32_t n = dec.read_count();
       std::vector<std::string> enumerators;
-      enumerators.reserve(n);
+      enumerators.reserve(dec.reservable(n, sizeof(std::string)));
       for (std::uint32_t i = 0; i < n; ++i) {
         enumerators.push_back(dec.read_string());
       }

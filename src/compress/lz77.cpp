@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 namespace maqs::compress {
 
@@ -59,6 +60,22 @@ void put_u16(std::uint8_t* p, std::uint16_t v) noexcept {
   p[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
+/// The per-thread match-finder scratch (see lz77.hpp). head[h] and
+/// chain[g % kChainSize] store positions + 1 in a rolling coordinate
+/// space; entries <= a call's base belong to earlier calls and read as
+/// "none". The base rolls forward per call, and the tables are zeroed only
+/// when the u32 position space would wrap.
+struct MatchTables {
+  std::vector<std::uint32_t> head;
+  std::vector<std::uint32_t> chain;
+  std::uint32_t next_base = 0;
+};
+
+MatchTables& match_tables() {
+  static thread_local MatchTables tables;
+  return tables;
+}
+
 /// Stored form: the input as pure literal runs. Exactly
 /// n + 3 * ceil(n / kMaxLiteralRun) bytes.
 std::size_t write_stored(util::BytesView input, std::uint8_t* out) {
@@ -107,19 +124,21 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
                                     std::size_t cap) const {
   const std::size_t n = input.size();
 
-  if (head_.empty()) {
-    head_.assign(kHashSize, 0);
-    chain_.assign(kChainSize, 0);
+  MatchTables& tables = match_tables();
+  if (tables.head.empty()) {
+    tables.head.assign(kHashSize, 0);
+    tables.chain.assign(kChainSize, 0);
   }
-  if (static_cast<std::uint64_t>(next_base_) + n + 1 >
+  if (static_cast<std::uint64_t>(tables.next_base) + n + 1 >
       std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(head_.begin(), head_.end(), 0u);
-    std::fill(chain_.begin(), chain_.end(), 0u);
-    next_base_ = 0;
+    std::fill(tables.head.begin(), tables.head.end(), 0u);
+    std::fill(tables.chain.begin(), tables.chain.end(), 0u);
+    tables.next_base = 0;
   }
-  base_ = next_base_;
-  next_base_ = base_ + static_cast<std::uint32_t>(n) + 1;
-  const std::uint32_t base = base_;
+  const std::uint32_t base = tables.next_base;
+  tables.next_base = base + static_cast<std::uint32_t>(n) + 1;
+  std::uint32_t* const head = tables.head.data();
+  std::uint32_t* const chain = tables.chain.data();
 
   std::size_t w = 0;
   // Emits input[begin, end) as literal runs; false when out of room.
@@ -144,9 +163,9 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
     std::size_t best_len = 0;
     std::size_t best_off = 0;
 
-    // head_/chain_ store global positions + 1; values <= base are stale
-    // leftovers from earlier inputs and terminate the probe like a null.
-    std::uint32_t candidate = head_[h];
+    // head/chain store positions + 1; values <= base are stale leftovers
+    // from earlier inputs and terminate the probe like a null.
+    std::uint32_t candidate = head[h];
     int probes = max_probes_;
     const std::size_t limit = std::min(n - i, kMaxMatch);
     while (candidate > base && probes-- > 0) {
@@ -167,7 +186,7 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
       // The chain slot may have been overwritten by a position ~64K newer
       // (modulo indexing); accept only strictly older candidates to stay
       // acyclic.
-      const std::uint32_t next = chain_[(candidate - 1) % kChainSize];
+      const std::uint32_t next = chain[(candidate - 1) % kChainSize];
       if (next > base && next - 1 - base >= pos) break;
       candidate = next;
     }
@@ -185,15 +204,15 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
       const std::size_t insert_end = std::min(match_end, i + kMaxInsert);
       while (i < insert_end && i + kMinMatch <= n) {
         const std::uint32_t hh = hash3(input.data() + i);
-        chain_[(base + i) % kChainSize] = head_[hh];
-        head_[hh] = base + static_cast<std::uint32_t>(i) + 1;
+        chain[(base + i) % kChainSize] = head[hh];
+        head[hh] = base + static_cast<std::uint32_t>(i) + 1;
         ++i;
       }
       i = match_end;
       literal_start = i;
     } else {
-      chain_[(base + i) % kChainSize] = head_[h];
-      head_[h] = base + static_cast<std::uint32_t>(i) + 1;
+      chain[(base + i) % kChainSize] = head[h];
+      head[h] = base + static_cast<std::uint32_t>(i) + 1;
       ++i;
     }
   }

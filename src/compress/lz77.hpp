@@ -13,14 +13,14 @@
 // bytes. compress_into caps the greedy stream at min(budget, stored form)
 // and stops matching as soon as a token would reach that cap.
 //
-// The match-finder hash tables persist across calls on the codec instance
-// (positions are kept in a rolling global coordinate space, so stale
-// entries are recognized by range instead of a 384 KiB memset per call).
-// This makes compress() non-reentrant per instance; codec instances are
-// owned per-characteristic in the single-threaded simulator.
+// The match-finder hash tables are one scratch per thread, shared by every
+// codec instance on it and kept across calls: positions live in a rolling
+// per-thread coordinate space, so entries from earlier calls (of any
+// instance) are recognized as stale by range instead of by a 384 KiB
+// memset per call or per instance. A stream therefore depends only on the
+// input and max_probes. This makes compress() non-reentrant per thread;
+// the simulator runs each world on one thread.
 #pragma once
-
-#include <vector>
 
 #include "compress/codec.hpp"
 
@@ -47,15 +47,6 @@ class Lz77Codec final : public Codec {
                            std::size_t cap) const;
 
   int max_probes_;
-
-  // Persistent match-finder scratch. head_[h] / chain_[g % (window+1)]
-  // store global positions + 1; entries <= base_ belong to earlier calls
-  // and read as "none". base_ rolls forward per call and the tables are
-  // zeroed only when the u32 position space would wrap.
-  mutable std::vector<std::uint32_t> head_;
-  mutable std::vector<std::uint32_t> chain_;
-  mutable std::uint32_t base_ = 0;
-  mutable std::uint32_t next_base_ = 0;
 };
 
 }  // namespace maqs::compress

@@ -1,8 +1,8 @@
 #include "gateway/gateway.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 #include "cdr/decoder.hpp"
 #include "cdr/encoder.hpp"
@@ -16,6 +16,20 @@
 namespace maqs::gateway {
 
 namespace {
+
+/// Head bytes reserved ahead of a JSON body: the longest status line plus
+/// every header the gateway writes.
+constexpr std::size_t kHeadReserve = 192;
+
+void put(util::Bytes& out, std::string_view s) {
+  out.insert(out.end(), s.begin(), s.end());
+}
+
+void put_number(util::Bytes& out, std::int64_t v) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v);
+  out.insert(out.end(), buf, result.ptr);
+}
 
 /// True for sequence<octet> — the blob kind that bypasses Any marshaling.
 bool is_blob(const cdr::TypeCodePtr& type) {
@@ -44,22 +58,25 @@ std::optional<std::uint64_t> parse_hex_id(std::string_view s) {
   return value;
 }
 
-std::string hex_id(std::uint64_t id) {
-  char buf[20];
+/// The id as 16 lowercase hex digits, in `buf`.
+std::string_view hex_id(std::uint64_t id, char (&buf)[17]) {
   std::snprintf(buf, sizeof buf, "%016" PRIx64, id);
-  return buf;
+  return {buf, 16};
 }
 
 /// Structured fault body: {"error":{"status":N,"code":...,"detail":...}}.
-std::string fault_body(int status, std::string_view code,
+util::Bytes fault_body(int status, std::string_view code,
                        std::string_view detail) {
-  JsonObject error;
-  error.emplace_back("status", JsonValue(static_cast<std::int64_t>(status)));
-  error.emplace_back("code", JsonValue(std::string(code)));
-  error.emplace_back("detail", JsonValue(std::string(detail)));
-  JsonObject root;
-  root.emplace_back("error", JsonValue(std::move(error)));
-  return write_json(JsonValue(std::move(root)));
+  util::Bytes out = util::BufferPool::instance().acquire(
+      48 + code.size() + detail.size());
+  put(out, "{\"error\":{\"status\":");
+  put_number(out, status);
+  put(out, ",\"code\":");
+  write_json_string(code, out);
+  put(out, ",\"detail\":");
+  write_json_string(detail, out);
+  put(out, "}}");
+  return out;
 }
 
 bool wants_multipart(const HttpRequest& req) {
@@ -132,7 +149,7 @@ void Gateway::on_payload(const net::Address& from,
 
 void Gateway::drain(const net::Address& from, const ConnectionPtr& conn) {
   conn->handling = true;
-  HttpRequest req;
+  HttpRequest& req = conn->request;
   for (;;) {
     const HttpParser::Result result = conn->parser.poll(req);
     if (result == HttpParser::Result::kNeedMore) break;
@@ -141,19 +158,17 @@ void Gateway::drain(const net::Address& from, const ConnectionPtr& conn) {
       // never crash, never hang, never ignore.
       ++stats_.malformed;
       ++stats_.bad_request;
-      HttpResponse resp;
-      resp.status = 400;
-      resp.set_header("content-type", "application/json");
-      const std::string body =
-          fault_body(400, "maqs/BAD_REQUEST", conn->parser.error());
-      resp.body.assign(body.begin(), body.end());
-      resp.close_connection = true;
-      orb_.network().send(listen_, from, resp.encode());
+      send_json(from, /*keep_alive=*/false, 400,
+                fault_body(400, "maqs/BAD_REQUEST", conn->parser.error()),
+                0);
       conn->closed = true;
       break;
     }
     ++stats_.requests;
-    handle(from, req);
+    handle(from, *conn);
+    // The body is dead once answered; the rest of the request's storage
+    // takes the next one.
+    util::BufferPool::instance().release(std::move(req.body));
     if (conn->closed || !req.keep_alive) {
       conn->closed = true;
       break;
@@ -163,10 +178,10 @@ void Gateway::drain(const net::Address& from, const ConnectionPtr& conn) {
   if (conn->closed) connections_.erase(from);
 }
 
-std::string Gateway::qos_class_for(const HttpRequest& req) const {
-  if (const auto cls = req.header(kClassHeader)) return std::string(*cls);
+std::string_view Gateway::qos_class_for(const HttpRequest& req) const {
+  if (const auto cls = req.header(kClassHeader)) return *cls;
   if (const auto tenant = req.header(kTenantHeader)) {
-    const auto it = tenants_.find(std::string(*tenant));
+    const auto it = tenants_.find(*tenant);
     if (it != tenants_.end()) return it->second;
   }
   return config_.default_class;
@@ -183,86 +198,154 @@ void Gateway::count_status(int status) {
   }
 }
 
-void Gateway::send_response(const net::Address& from, const HttpRequest& req,
-                            HttpResponse&& resp, std::uint64_t trace_id) {
-  count_status(resp.status);
-  if (trace_id != 0) resp.set_header(kTraceHeader, hex_id(trace_id));
-  if (resp.status == 503) {
-    resp.set_header("retry-after",
-                    std::to_string(config_.retry_after_seconds));
+void Gateway::send_json(const net::Address& from, bool keep_alive,
+                        int status, util::Bytes&& body,
+                        std::uint64_t trace_id) {
+  auto& pool = util::BufferPool::instance();
+  util::Bytes frame = pool.acquire(kHeadReserve + body.size());
+  append_status_line(frame, status);
+  append_header(frame, "content-type", "application/json");
+  if (trace_id != 0) {
+    char hex[17];
+    append_header(frame, kTraceHeader, hex_id(trace_id, hex));
   }
-  resp.close_connection = !req.keep_alive;
-  orb_.network().send(listen_, from, resp.encode());
+  if (status == 503) {
+    char seconds[16];
+    const auto end = std::to_chars(seconds, seconds + sizeof seconds,
+                                   config_.retry_after_seconds);
+    append_header(frame, "retry-after",
+                  std::string_view(seconds, static_cast<std::size_t>(
+                                                end.ptr - seconds)));
+  }
+  append_head_end(frame, body.size(), !keep_alive);
+  frame.insert(frame.end(), body.begin(), body.end());
+  pool.release(std::move(body));
+  orb_.network().send(listen_, from, std::move(frame));
 }
 
 void Gateway::send_fault(const net::Address& from, const HttpRequest& req,
                          int status, std::string_view code,
                          std::string_view detail, std::uint64_t trace_id) {
-  HttpResponse resp;
-  resp.status = status;
-  resp.set_header("content-type", "application/json");
-  const std::string body = fault_body(status, code, detail);
-  resp.body.assign(body.begin(), body.end());
-  send_response(from, req, std::move(resp), trace_id);
+  count_status(status);
+  send_json(from, req.keep_alive, status, fault_body(status, code, detail),
+            trace_id);
 }
 
 void Gateway::send_mtom_response(const net::Address& from,
                                  const HttpRequest& req,
-                                 std::string_view root_json,
                                  util::BytesView blob,
                                  std::uint64_t trace_id) {
   ++stats_.mtom_parts_out;
   count_status(200);
-  const std::string cid = "r" + std::to_string(next_cid_++);
-  const std::string boundary = "maqs-" + cid;
+  char cid_buf[24] = {'r'};
+  const auto cid_end =
+      std::to_chars(cid_buf + 1, cid_buf + sizeof cid_buf, next_cid_++).ptr;
+  const std::string_view cid(cid_buf,
+                             static_cast<std::size_t>(cid_end - cid_buf));
 
-  // Container layout, sized exactly so the whole response frame is
-  // assembled in one borrowed arena region: the blob part is copied once,
-  // straight off the reply buffer, and the HTTP head is prepended into
-  // headroom — the ChainBuf materializes directly into the wire frame.
-  const std::string root_head =
-      "--" + boundary + "\r\ncontent-type: application/json\r\n\r\n";
-  const std::string blob_head = "--" + boundary + "\r\ncontent-id: <" + cid +
-                                ">\r\ncontent-type: "
-                                "application/octet-stream\r\n\r\n";
-  const std::string closing = "--" + boundary + "--\r\n";
-  const std::size_t container_size = root_head.size() + root_json.size() + 2 +
-                                     blob_head.size() + blob.size() + 2 +
-                                     closing.size();
-
-  std::string head = "HTTP/1.1 200 OK\r\ncontent-type: multipart/related; "
-                     "boundary=" +
-                     boundary + "; type=\"application/json\"\r\n";
-  if (trace_id != 0) head += "x-trace-id: " + hex_id(trace_id) + "\r\n";
-  head += "content-length: " + std::to_string(container_size) + "\r\n";
-  if (!req.keep_alive) head += "connection: close\r\n";
-  head += "\r\n";
-
-  arena_.reset();
-  const std::span<std::uint8_t> region =
-      arena_.allocate(head.size() + container_size);
-  std::uint8_t* cursor = region.data() + head.size();
-  auto put = [&cursor](const void* data, std::size_t n) {
-    std::memcpy(cursor, data, n);
-    cursor += n;
+  // Container layout: root JSON part, blob part, closing delimiter, each
+  // opening with "--" + boundary ("maqs-" + cid). Sized up front so the
+  // head, which carries the length, and the container are written into
+  // one pooled frame: the blob is copied once, straight off the reply.
+  constexpr std::string_view kDelimiter = "--maqs-";
+  constexpr std::string_view kRootHead =
+      "\r\ncontent-type: application/json\r\n\r\n";
+  constexpr std::string_view kRootOpen = "{\"result\":{\"$blob\":\"cid:";
+  constexpr std::string_view kRootClose = "\"}}\r\n";
+  constexpr std::string_view kBlobOpen = "\r\ncontent-id: <";
+  constexpr std::string_view kBlobClose =
+      ">\r\ncontent-type: application/octet-stream\r\n\r\n";
+  constexpr std::string_view kClosing = "--\r\n";
+  const std::size_t dash_boundary = kDelimiter.size() + cid.size();
+  const std::size_t container_size =
+      3 * dash_boundary + kRootHead.size() + kRootOpen.size() + cid.size() +
+      kRootClose.size() + kBlobOpen.size() + cid.size() + kBlobClose.size() +
+      blob.size() + 2 + kClosing.size();
+  auto put_delimiter = [&cid](util::Bytes& out) {
+    put(out, kDelimiter);
+    put(out, cid);
   };
-  put(root_head.data(), root_head.size());
-  put(root_json.data(), root_json.size());
-  put("\r\n", 2);
-  put(blob_head.data(), blob_head.size());
-  put(blob.data(), blob.size());
-  put("\r\n", 2);
-  put(closing.data(), closing.size());
 
-  core::ChainBuf buf(arena_, 0);
-  buf.adopt(region, head.size(), container_size);
-  std::memcpy(buf.prepend(head.size()), head.data(), head.size());
-  util::Bytes frame = util::BufferPool::instance().acquire(region.size());
-  buf.materialize_into(frame);
+  util::Bytes frame =
+      util::BufferPool::instance().acquire(kHeadReserve + container_size);
+  append_status_line(frame, 200);
+  put(frame, "content-type: multipart/related; boundary=");
+  put(frame, kDelimiter.substr(2));
+  put(frame, cid);
+  put(frame, "; type=\"application/json\"\r\n");
+  if (trace_id != 0) {
+    char hex[17];
+    append_header(frame, kTraceHeader, hex_id(trace_id, hex));
+  }
+  append_head_end(frame, container_size, !req.keep_alive);
+  put_delimiter(frame);
+  put(frame, kRootHead);
+  put(frame, kRootOpen);
+  put(frame, cid);
+  put(frame, kRootClose);
+  put_delimiter(frame);
+  put(frame, kBlobOpen);
+  put(frame, cid);
+  put(frame, kBlobClose);
+  frame.insert(frame.end(), blob.begin(), blob.end());
+  put(frame, "\r\n");
+  put_delimiter(frame);
+  put(frame, kClosing);
   orb_.network().send(listen_, from, std::move(frame));
 }
 
-void Gateway::handle(const net::Address& from, HttpRequest& req) {
+void Gateway::marshal_args(std::string_view json_text,
+                           const qidl::OperationSignature& op,
+                           const MtomContainer& container,
+                           cdr::Encoder& args) {
+  const JsonDocument document(json_text);
+  const JsonCursor body = document.root();
+  if (!body.is_object()) throw JsonError("request body must be an object");
+  // One pass over the members finds each parameter's value (a repeated
+  // parameter keeps its first) and the first member that names none.
+  std::vector<std::optional<JsonCursor>>& values = param_values_;
+  values.assign(op.params.size(), std::nullopt);
+  std::optional<JsonCursor> unknown;
+  for (JsonItems it(body); it.next();) {
+    bool known = false;
+    for (std::size_t i = 0; i < op.params.size(); ++i) {
+      if (!it.key().equals(op.params[i].first)) continue;
+      known = true;
+      if (!values[i].has_value()) values[i] = it.value();
+    }
+    if (!known && !unknown.has_value()) unknown = it.key();
+  }
+  for (std::size_t i = 0; i < op.params.size(); ++i) {
+    const auto& [name, type] = op.params[i];
+    if (!values[i].has_value()) {
+      throw JsonError("missing parameter \"" + name + "\"");
+    }
+    const std::optional<JsonCursor> blob_ref = values[i]->find("$blob");
+    if (blob_ref.has_value()) {
+      // MTOM reference: the part's bytes go straight onto the CDR
+      // stream (borrowed view, one copy, no per-octet work).
+      if (!is_blob(type) || !blob_ref->is_string()) {
+        throw JsonError("parameter \"" + name +
+                        "\" cannot take a $blob reference");
+      }
+      const std::string cid = blob_ref->as_string();
+      const MtomPart* part = container.find(cid);
+      if (part == nullptr) {
+        throw JsonError("unresolved blob reference " + cid);
+      }
+      ++stats_.mtom_parts_in;
+      args.write_bytes(part->data);
+    } else {
+      values[i]->write_cdr(type, args);
+    }
+  }
+  if (unknown.has_value()) {
+    throw JsonError("unknown parameter \"" + unknown->as_string() + "\"");
+  }
+}
+
+void Gateway::handle(const net::Address& from, Connection& conn) {
+  const HttpRequest& req = conn.request;
   // ---- trace: adopt the caller's id or mint one; the gateway.request
   // span stays active across the whole translation, so the DII
   // invocation's client.request span nests under it.
@@ -307,13 +390,10 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
   // ---- body: JSON document, possibly inside a multipart container ----
   MtomContainer container;
   std::string_view json_text;
-  ContentType content_type;
-  if (const auto ct = req.header("content-type")) {
-    content_type = parse_content_type(*ct);
-  } else {
-    content_type.media_type = "application/json";
-  }
-  if (content_type.media_type == "multipart/related") {
+  const auto content_type_header = req.header("content-type");
+  const ContentTypeView content_type =
+      split_content_type(content_type_header.value_or("application/json"));
+  if (iequals(content_type.media_type, "multipart/related")) {
     auto parsed = parse_multipart_related(req.body, content_type.boundary);
     if (!parsed.has_value()) {
       send_fault(from, req, 400, "maqs/BAD_MULTIPART",
@@ -323,14 +403,15 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
     container = *std::move(parsed);
     json_text = {reinterpret_cast<const char*>(container.root.data()),
                  container.root.size()};
-  } else if (content_type.media_type == "application/json" ||
+  } else if (iequals(content_type.media_type, "application/json") ||
              content_type.media_type.empty()) {
     json_text = {reinterpret_cast<const char*>(req.body.data()),
                  req.body.size()};
     if (json_text.empty()) json_text = "{}";
   } else {
     send_fault(from, req, 400, "maqs/BAD_CONTENT_TYPE",
-               "unsupported content type " + content_type.media_type,
+               "unsupported content type " +
+                   parse_content_type(*content_type_header).media_type,
                trace_id);
     return;
   }
@@ -339,45 +420,9 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
   const qidl::OperationSignature& op = *route->operation;
   cdr::Encoder args = cdr::Encoder::pooled();
   try {
-    const JsonValue body = parse_json(json_text);
-    if (!body.is_object()) throw JsonError("request body must be an object");
-    std::size_t matched = 0;
-    for (const auto& [name, type] : op.params) {
-      const JsonValue* value = body.find(name);
-      if (value == nullptr) {
-        throw JsonError("missing parameter \"" + name + "\"");
-      }
-      ++matched;
-      const JsonValue* blob_ref =
-          value->is_object() ? value->find("$blob") : nullptr;
-      if (blob_ref != nullptr) {
-        // MTOM reference: the part's bytes go straight onto the CDR
-        // stream (borrowed view, one copy, no per-octet Anys).
-        if (!is_blob(type) || !blob_ref->is_string()) {
-          throw JsonError("parameter \"" + name +
-                          "\" cannot take a $blob reference");
-        }
-        const MtomPart* part = container.find(blob_ref->as_string());
-        if (part == nullptr) {
-          throw JsonError("unresolved blob reference " +
-                          blob_ref->as_string());
-        }
-        ++stats_.mtom_parts_in;
-        args.write_bytes(part->data);
-      } else {
-        json_to_any(*value, type).encode_value(args);
-      }
-    }
-    if (matched != body.as_object().size()) {
-      for (const auto& [name, value] : body.as_object()) {
-        bool known = false;
-        for (const auto& [param, type] : op.params) {
-          known = known || param == name;
-        }
-        if (!known) throw JsonError("unknown parameter \"" + name + "\"");
-      }
-    }
+    marshal_args(json_text, op, container, args);
   } catch (const Error& e) {
+    util::BufferPool::instance().release(args.take());
     send_fault(from, req, 400, "maqs/BAD_BODY", e.what(), trace_id);
     return;
   }
@@ -391,10 +436,15 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
   info.request.object_key = exposure->second.target.object_key;
   info.request.operation = op.name;
   info.request.body = args.take();
-  const std::string qos_class = qos_class_for(req);
+  const std::string_view qos_class = qos_class_for(req);
+  auto& pool = util::BufferPool::instance();
   if (!qos_class.empty()) {
-    info.request.context.set(sched::kClassContextKey,
-                             util::Bytes(qos_class.begin(), qos_class.end()));
+    // The tag rides the connection's context and a pooled value buffer;
+    // both come back after the call.
+    std::swap(info.request.context, conn.context);
+    util::Bytes tag = pool.acquire(qos_class.size());
+    tag.assign(qos_class.begin(), qos_class.end());
+    info.request.context.set(sched::kClassContextKey, std::move(tag));
   }
 
   try {
@@ -414,7 +464,16 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
     send_fault(from, req, 500, "maqs/GATEWAY_FAULT", e.what(), trace_id);
     return;
   }
-  util::BufferPool::instance().release(std::move(info.request.body));
+  pool.release(std::move(info.request.body));
+  if (!qos_class.empty()) {
+    orb::ServiceContext& context = info.request.context;
+    if (const auto tag = context.find(sched::kClassContextKey);
+        tag != context.end()) {
+      pool.release(std::move(tag->second));
+    }
+    context.clear();
+    std::swap(context, conn.context);
+  }
 
   // ---- reply status -> HTTP ----
   const orb::ReplyMessage& reply = info.reply;
@@ -451,55 +510,36 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
   }
 
   // ---- result -> JSON (or multipart for large blobs) ----
+  const cdr::TypeCodePtr& result_type = op.result;
+  util::Bytes body = pool.acquire(32 + 2 * reply.body.size());
   try {
-    const cdr::TypeCodePtr& result_type = op.result;
-    if (is_blob(result_type)) {
-      // Blob results bypass Any entirely: a borrowed view off the reply
-      // buffer, handed either to the multipart assembler (zero
-      // intermediate copies) or inlined as a JSON array.
+    if (is_blob(result_type) && wants_multipart(req)) {
+      // A large blob result goes out-of-band: a borrowed view off the
+      // reply buffer, copied once into the multipart frame.
       cdr::Decoder dec(reply.body);
       const util::BytesView blob = dec.read_bytes_view();
       dec.expect_end();
-      if (wants_multipart(req) && blob.size() >= config_.mtom_threshold) {
-        const std::string cid = "r" + std::to_string(next_cid_);
-        JsonObject ref;
-        ref.emplace_back("$blob", JsonValue("cid:" + cid));
-        JsonObject root;
-        root.emplace_back("result", JsonValue(std::move(ref)));
-        send_mtom_response(from, req, write_json(JsonValue(std::move(root))),
-                           blob, trace_id);
+      if (blob.size() >= config_.mtom_threshold) {
+        pool.release(std::move(body));
+        send_mtom_response(from, req, blob, trace_id);
+        pool.release(std::move(info.reply.body));
         return;
       }
-      JsonArray items;
-      items.reserve(blob.size());
-      for (const std::uint8_t b : blob) {
-        items.push_back(JsonValue(static_cast<std::int64_t>(b)));
-      }
-      JsonObject root;
-      root.emplace_back("result", JsonValue(std::move(items)));
-      HttpResponse resp;
-      resp.set_header("content-type", "application/json");
-      const std::string body = write_json(JsonValue(std::move(root)));
-      resp.body.assign(body.begin(), body.end());
-      send_response(from, req, std::move(resp), trace_id);
-      return;
     }
-    JsonValue result(nullptr);
-    if (result_type->kind() != cdr::TCKind::kVoid) {
-      cdr::Decoder dec(reply.body);
-      result = any_to_json(cdr::Any::decode_value(dec, result_type));
-      dec.expect_end();
-    }
-    JsonObject root;
-    root.emplace_back("result", std::move(result));
-    HttpResponse resp;
-    resp.set_header("content-type", "application/json");
-    const std::string body = write_json(JsonValue(std::move(root)));
-    resp.body.assign(body.begin(), body.end());
-    send_response(from, req, std::move(resp), trace_id);
+    put(body, "{\"result\":");
+    cdr::Decoder dec(reply.body);
+    write_json_from_cdr(dec, result_type, body);
+    // A void result reads nothing, so trailing reply bytes go unchecked.
+    if (result_type->kind() != cdr::TCKind::kVoid) dec.expect_end();
+    body.push_back('}');
   } catch (const Error& e) {
+    pool.release(std::move(body));
     send_fault(from, req, 500, "maqs/BAD_REPLY", e.what(), trace_id);
+    return;
   }
+  pool.release(std::move(info.reply.body));
+  count_status(200);
+  send_json(from, req.keep_alive, 200, std::move(body), trace_id);
 }
 
 }  // namespace maqs::gateway

@@ -8,18 +8,25 @@
 //
 // Flow per request:
 //
-//   net payload -> HttpParser (torn-read tolerant, pipelined)
+//   net payload -> HttpParser (torn-read tolerant, pipelined; the
+//        connection's one HttpRequest is recycled across keep-alive
+//        requests, its body a BufferPool buffer returned after handling)
 //     -> route table (POST /api/<Interface>/<operation>)
-//     -> body: application/json or multipart/related (MTOM blobs by cid)
-//     -> args marshaled per the repository signature (JSON -> Any -> CDR;
-//        sequence<octet> blobs bypass Any: one write_bytes straight off
-//        the borrowed multipart view)
+//     -> body: application/json or multipart/related (MTOM blobs by cid),
+//        the content type read in place
+//     -> args marshaled per the repository signature, JSON text straight
+//        to CDR in a pooled encoder (JsonDocument: each parameter found by
+//        name, then written by its TypeCode; sequence<octet> blobs: one
+//        write_bytes straight off the borrowed multipart view)
 //     -> orb.invoke_with() through the client chain (a gateway.request
 //        span is active, so the invocation's spans nest under it and the
 //        trace id round-trips via the X-Trace-Id header)
 //     -> reply status mapped to HTTP (see exception table below)
-//     -> result as JSON, or multipart/related when a large blob result
-//        goes out-of-band (assembled in a borrowed ChainBuf region).
+//     -> result: the CDR reply read straight into JSON text, which goes
+//        with its head into one pooled frame; or multipart/related when a
+//        large blob result goes out-of-band (head, root part and blob part
+//        written into one pooled frame, the blob copied once off the
+//        reply buffer).
 //
 // Exception -> status mapping:
 //
@@ -45,9 +52,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/transform.hpp"
+#include "cdr/encoder.hpp"
 #include "gateway/binding.hpp"
 #include "gateway/http.hpp"
+#include "gateway/json.hpp"
 #include "gateway/mtom.hpp"
 #include "net/network.hpp"
 #include "orb/orb.hpp"
@@ -131,6 +139,11 @@ class Gateway {
  private:
   struct Connection {
     HttpParser parser;
+    /// The request being handled; its storage is reused by the next one.
+    HttpRequest request;
+    /// Lent to each invocation that carries a QoS class tag and taken
+    /// back, emptied, so the context's storage is reused too.
+    orb::ServiceContext context;
     sim::TimePoint last_activity = 0;
     bool handling = false;  ///< a nested invoke is pumping the loop
     bool closed = false;
@@ -144,24 +157,32 @@ class Gateway {
 
   void on_payload(const net::Address& from, const util::Bytes& payload);
   void drain(const net::Address& from, const ConnectionPtr& conn);
-  /// Handles one parsed request; sends the response frame(s) itself.
-  void handle(const net::Address& from, HttpRequest& req);
+  /// Handles the connection's parsed request; sends the response
+  /// frame(s) itself.
+  void handle(const net::Address& from, Connection& conn);
+  /// Writes the request body's parameters as CDR onto `args`; throws
+  /// Error (answered 400) when the body does not fit the signature.
+  void marshal_args(std::string_view json_text,
+                    const qidl::OperationSignature& op,
+                    const MtomContainer& container, cdr::Encoder& args);
 
+  /// Sends a JSON response whose body is `body` (a pooled buffer, spent
+  /// here): head and body go out in one pooled frame.
+  void send_json(const net::Address& from, bool keep_alive, int status,
+                 util::Bytes&& body, std::uint64_t trace_id);
   /// Builds + sends a structured JSON fault response.
   void send_fault(const net::Address& from, const HttpRequest& req,
                   int status, std::string_view code, std::string_view detail,
                   std::uint64_t trace_id);
-  void send_response(const net::Address& from, const HttpRequest& req,
-                     HttpResponse&& resp, std::uint64_t trace_id);
-  /// Assembles head + multipart container in one borrowed ChainBuf
-  /// region (blob part copied exactly once, straight off the reply
-  /// buffer) and sends the frame.
+  /// Writes head + multipart container into one pooled frame (blob part
+  /// copied exactly once, straight off the reply buffer) and sends it.
   void send_mtom_response(const net::Address& from, const HttpRequest& req,
-                          std::string_view root_json, util::BytesView blob,
-                          std::uint64_t trace_id);
+                          util::BytesView blob, std::uint64_t trace_id);
 
   void count_status(int status);
-  std::string qos_class_for(const HttpRequest& req) const;
+  /// The request's QoS class tag; empty for none. Views the request, the
+  /// tenant map or the config.
+  std::string_view qos_class_for(const HttpRequest& req) const;
 
   orb::Orb& orb_;
   const qidl::InterfaceRepository& repo_;
@@ -169,9 +190,18 @@ class Gateway {
   net::Address listen_;
   RouteTable routes_;
   std::unordered_map<std::string, Exposure> exposures_;  // by interface name
-  std::unordered_map<std::string, std::string> tenants_;
+  /// Tenant -> class, looked up by the header's view without a copy.
+  struct ViewHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, std::string, ViewHash, std::equal_to<>>
+      tenants_;
   std::unordered_map<net::Address, ConnectionPtr> connections_;
-  core::TransformArena arena_;  ///< MTOM response assembly regions
+  /// marshal_args' per-parameter value cursors, kept for their capacity.
+  std::vector<std::optional<JsonCursor>> param_values_;
   GatewayStats stats_;
   std::uint64_t next_cid_ = 0;
 };

@@ -1,18 +1,18 @@
 #include "gateway/http.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <cstring>
+#include <initializer_list>
+
+#include "util/buffer_pool.hpp"
 
 namespace maqs::gateway {
 
 namespace {
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
+char fold(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
 std::string_view trim(std::string_view s) {
@@ -23,15 +23,6 @@ std::string_view trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-std::optional<std::string_view> find_header(
-    const std::vector<std::pair<std::string, std::string>>& headers,
-    std::string_view name) {
-  for (const auto& [key, value] : headers) {
-    if (key == name) return std::string_view(value);
-  }
-  return std::nullopt;
 }
 
 /// Parses a decimal size; nullopt on garbage or overflow.
@@ -69,44 +60,94 @@ std::optional<std::size_t> parse_chunk_size(std::string_view s) {
   return value;
 }
 
-/// Splits header lines out of `head` (which excludes the final empty
-/// line). Returns false on a malformed line.
-bool parse_header_lines(std::string_view head,
-                        std::vector<std::pair<std::string, std::string>>& out) {
-  while (!head.empty()) {
-    const auto eol = head.find("\r\n");
-    const std::string_view line =
-        eol == std::string_view::npos ? head : head.substr(0, eol);
-    head = eol == std::string_view::npos ? std::string_view{}
-                                         : head.substr(eol + 2);
-    if (line.empty()) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string_view::npos || colon == 0) return false;
-    const std::string_view name = line.substr(0, colon);
-    // Obsolete line folding and spaces inside field names are rejected.
-    if (name.find(' ') != std::string_view::npos ||
-        name.find('\t') != std::string_view::npos) {
-      return false;
-    }
-    out.emplace_back(to_lower(name), std::string(trim(line.substr(colon + 1))));
+/// Header slots a fresh message reserves: more than a gateway exchange
+/// carries, so one allocation holds them all.
+constexpr std::size_t kHeaderSlots = 8;
+
+/// Appends the pieces with one resize: a head is a dozen short pieces,
+/// and growing the buffer once per piece costs more than copying them.
+void append_text(util::Bytes& out,
+                 std::initializer_list<std::string_view> pieces) {
+  std::size_t n = 0;
+  for (const std::string_view piece : pieces) n += piece.size();
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  auto* cursor = reinterpret_cast<char*>(out.data() + at);
+  for (const std::string_view piece : pieces) {
+    std::memcpy(cursor, piece.data(), piece.size());
+    cursor += piece.size();
   }
-  return true;
 }
 
 }  // namespace
 
-std::optional<std::string_view> HttpRequest::header(
-    std::string_view name) const {
-  return find_header(headers, name);
+std::optional<std::string_view> HeaderFields::find(
+    std::string_view name) const noexcept {
+  for (const Field& field : fields_) {
+    if (std::string_view(text_.data() + field.name, field.name_size) ==
+        name) {
+      return std::string_view(text_.data() + field.value, field.value_size);
+    }
+  }
+  return std::nullopt;
 }
 
-void HttpResponse::set_header(std::string name, std::string value) {
-  headers.emplace_back(std::move(name), std::move(value));
+std::pair<std::string_view, std::string_view> HeaderFields::operator[](
+    std::size_t i) const noexcept {
+  const Field& field = fields_[i];
+  return {std::string_view(text_.data() + field.name, field.name_size),
+          std::string_view(text_.data() + field.value, field.value_size)};
 }
 
-std::optional<std::string_view> HttpResponse::header(
-    std::string_view name) const {
-  return find_header(headers, name);
+void HeaderFields::add(std::string_view name, std::string_view value) {
+  Field field;
+  field.name = static_cast<std::uint32_t>(text_.size());
+  field.name_size = static_cast<std::uint32_t>(name.size());
+  text_.append(name);
+  field.value = static_cast<std::uint32_t>(text_.size());
+  field.value_size = static_cast<std::uint32_t>(value.size());
+  text_.append(value);
+  fields_.push_back(field);
+}
+
+bool HeaderFields::parse(std::string_view block) {
+  // One copy of the block; the fields are offsets into it.
+  text_.assign(block);
+  fields_.clear();
+  if (fields_.capacity() == 0) fields_.reserve(kHeaderSlots);
+  char* const base = text_.data();
+  char* p = base;
+  char* const end = base + text_.size();
+  while (p < end) {
+    // The line runs to the next CRLF (a lone CR is content).
+    char* eol = p;
+    for (;;) {
+      eol = static_cast<char*>(
+          std::memchr(eol, '\r', static_cast<std::size_t>(end - eol)));
+      if (eol == nullptr || (eol + 1 < end && eol[1] == '\n')) break;
+      ++eol;
+    }
+    if (eol == nullptr) eol = end;
+    char* const line = p;
+    p = eol == end ? end : eol + 2;
+    if (eol == line) continue;
+    auto* const colon = static_cast<char*>(
+        std::memchr(line, ':', static_cast<std::size_t>(eol - line)));
+    if (colon == nullptr || colon == line) return false;
+    for (char* c = line; c < colon; ++c) {
+      if (*c == ' ' || *c == '\t') return false;
+      *c = fold(*c);
+    }
+    const std::string_view value = trim(std::string_view(
+        colon + 1, static_cast<std::size_t>(eol - colon - 1)));
+    Field field;
+    field.name = static_cast<std::uint32_t>(line - base);
+    field.name_size = static_cast<std::uint32_t>(colon - line);
+    field.value = static_cast<std::uint32_t>(value.data() - base);
+    field.value_size = static_cast<std::uint32_t>(value.size());
+    fields_.push_back(field);
+  }
+  return true;
 }
 
 std::string_view status_reason(int status) noexcept {
@@ -123,37 +164,88 @@ std::string_view status_reason(int status) noexcept {
   }
 }
 
+void append_status_line(util::Bytes& out, int status) {
+  char code[16];
+  const auto end = std::to_chars(code, code + sizeof code, status).ptr;
+  append_text(out, {"HTTP/1.1 ",
+                    std::string_view(code, static_cast<std::size_t>(end - code)),
+                    " ", status_reason(status), "\r\n"});
+}
+
+void append_header(util::Bytes& out, std::string_view name,
+                   std::string_view value) {
+  append_text(out, {name, ": ", value, "\r\n"});
+}
+
+void append_head_end(util::Bytes& out, std::size_t content_length,
+                     bool close) {
+  char length[24];
+  const auto end =
+      std::to_chars(length, length + sizeof length, content_length).ptr;
+  append_text(out,
+              {"content-length: ",
+               std::string_view(length, static_cast<std::size_t>(end - length)),
+               close ? "\r\nconnection: close\r\n\r\n" : "\r\n\r\n"});
+}
+
+bool iequals(std::string_view a, std::string_view b) noexcept {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](char x, char y) { return fold(x) == fold(y); });
+}
+
 util::Bytes HttpResponse::encode() const {
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     std::string(status_reason(status)) + "\r\n";
-  for (const auto& [name, value] : headers) {
-    head += name;
-    head += ": ";
-    head += value;
-    head += "\r\n";
-  }
-  head += "content-length: " + std::to_string(body.size()) + "\r\n";
-  if (close_connection) head += "connection: close\r\n";
-  head += "\r\n";
   util::Bytes out;
-  out.reserve(head.size() + body.size());
-  out.insert(out.end(), head.begin(), head.end());
+  out.reserve(64 + body.size());
+  append_status_line(out, status);
+  for (std::size_t i = 0; i < headers.size(); ++i) {
+    append_header(out, headers[i].first, headers[i].second);
+  }
+  append_head_end(out, body.size(), close_connection);
   out.insert(out.end(), body.begin(), body.end());
   return out;
+}
+
+// ---- FeedBuffer ----
+
+void FeedBuffer::append(util::BytesView data) {
+  if (data.empty()) return;
+  if (buffer_.capacity() == 0) {
+    buffer_ = util::BufferPool::instance().acquire(data.size());
+  } else if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
+    // Compact once the parsed prefix dominates the buffer, so a long-lived
+    // keep-alive connection does not grow its buffer without bound.
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
+    consumed_ = 0;
+  }
+  buffer_.insert(buffer_.end(), data.begin(), data.end());
+}
+
+std::size_t FeedBuffer::move_into(util::Bytes& body, std::size_t n) {
+  const std::size_t take = std::min(n, size());
+  if (take == 0) return 0;
+  if (body.capacity() == 0) body = util::BufferPool::instance().acquire(take);
+  const auto first =
+      buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_);
+  body.insert(body.end(), first, first + static_cast<std::ptrdiff_t>(take));
+  consume(take);
+  return take;
+}
+
+void FeedBuffer::consume(std::size_t n) noexcept {
+  consumed_ += n;
+  if (consumed_ == buffer_.size()) {
+    util::BufferPool::instance().release(std::move(buffer_));
+    consumed_ = 0;
+  }
 }
 
 // ---- HttpParser ----
 
 void HttpParser::feed(util::BytesView data) {
   if (poisoned_) return;
-  // Compact once the parsed prefix dominates the buffer, so a long-lived
-  // keep-alive connection does not grow its buffer without bound.
-  if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
+  buffer_.append(data);
 }
 
 HttpParser::Result HttpParser::fail(std::string what) {
@@ -162,14 +254,30 @@ HttpParser::Result HttpParser::fail(std::string what) {
   return Result::kError;
 }
 
-/// Parses the request line + header block at the consumed_ offset, if the
-/// CRLF CRLF terminator has arrived. Leaves consumed_ past the blank line
-/// and fills pending_. Returns false when more bytes are needed (or the
-/// parser was poisoned).
-bool HttpParser::parse_head(HttpRequest& out) {
-  const std::string_view view(
-      reinterpret_cast<const char*>(buffer_.data()) + consumed_,
-      buffer_.size() - consumed_);
+void swap(HttpRequest& a, HttpRequest& b) noexcept {
+  a.method.swap(b.method);
+  a.target.swap(b.target);
+  a.version.swap(b.version);
+  a.headers.swap(b.headers);
+  a.body.swap(b.body);
+  std::swap(a.keep_alive, b.keep_alive);
+}
+
+HttpParser::Result HttpParser::complete(HttpRequest& out) {
+  swap(out, pending_);
+  // pending_ now holds what the caller passed in: its strings and header
+  // buffer take the next head, its body (if any) goes back to the pool.
+  if (pending_.body.capacity() != 0) {
+    util::BufferPool::instance().release(std::move(pending_.body));
+  }
+  return Result::kRequest;
+}
+
+/// Parses the request line + header block at the front of the buffer into
+/// pending_, if the CRLF CRLF terminator has arrived, and consumes it.
+/// Returns false when more bytes are needed (or the parser was poisoned).
+bool HttpParser::parse_head() {
+  const std::string_view view = buffer_.view();
   const auto head_end = view.find("\r\n\r\n");
   if (head_end == std::string_view::npos) {
     if (view.size() > kMaxHeaderBytes) {
@@ -195,10 +303,10 @@ bool HttpParser::parse_head(HttpRequest& out) {
     fail("malformed request line");
     return false;
   }
-  out = HttpRequest{};
-  out.method = std::string(request_line.substr(0, sp1));
-  out.target = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
-  out.version = std::string(trim(request_line.substr(sp2 + 1)));
+  HttpRequest& out = pending_;
+  out.method.assign(request_line.substr(0, sp1));
+  out.target.assign(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
+  out.version.assign(trim(request_line.substr(sp2 + 1)));
   if (out.method.empty() || out.target.empty() || out.target[0] != '/' ||
       (out.version != "HTTP/1.1" && out.version != "HTTP/1.0")) {
     fail("malformed request line");
@@ -207,17 +315,16 @@ bool HttpParser::parse_head(HttpRequest& out) {
   const std::string_view header_block =
       line_end == std::string_view::npos ? std::string_view{}
                                          : head.substr(line_end + 2);
-  if (!parse_header_lines(header_block, out.headers)) {
+  if (!out.headers.parse(header_block)) {
     fail("malformed header line");
     return false;
   }
   out.keep_alive = out.version == "HTTP/1.1";
   if (const auto conn = out.header("connection")) {
-    const std::string folded = to_lower(*conn);
-    if (folded == "close") out.keep_alive = false;
-    if (folded == "keep-alive") out.keep_alive = true;
+    if (iequals(*conn, "close")) out.keep_alive = false;
+    if (iequals(*conn, "keep-alive")) out.keep_alive = true;
   }
-  consumed_ += head_end + 4;
+  buffer_.consume(head_end + 4);
   return true;
 }
 
@@ -226,13 +333,13 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
   for (;;) {
     switch (state_) {
       case State::kHeaders: {
-        if (!parse_head(pending_)) {
+        if (!parse_head()) {
           return poisoned_ ? Result::kError : Result::kNeedMore;
         }
         const auto te = pending_.header("transfer-encoding");
         const auto cl = pending_.header("content-length");
         if (te.has_value()) {
-          if (to_lower(*te) != "chunked" || cl.has_value()) {
+          if (!iequals(*te, "chunked") || cl.has_value()) {
             return fail("unsupported transfer-encoding");
           }
           state_ = State::kChunkHeader;
@@ -245,36 +352,21 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
           length = *parsed;
         }
         if (length > kMaxBodyBytes) return fail("body exceeds limit");
-        if (length == 0) {
-          out = std::move(pending_);
-          pending_ = HttpRequest{};
-          return Result::kRequest;
-        }
+        if (length == 0) return complete(out);
+        // The body grows with the bytes that arrive: a declared length
+        // reserves nothing.
         body_remaining_ = length;
-        pending_.body.reserve(length);
         state_ = State::kBody;
         break;
       }
       case State::kBody: {
-        const std::size_t available = buffer_.size() - consumed_;
-        const std::size_t take = std::min(available, body_remaining_);
-        pending_.body.insert(pending_.body.end(),
-                             buffer_.begin() + static_cast<std::ptrdiff_t>(
-                                                   consumed_),
-                             buffer_.begin() + static_cast<std::ptrdiff_t>(
-                                                   consumed_ + take));
-        consumed_ += take;
-        body_remaining_ -= take;
+        body_remaining_ -= buffer_.move_into(pending_.body, body_remaining_);
         if (body_remaining_ > 0) return Result::kNeedMore;
         state_ = State::kHeaders;
-        out = std::move(pending_);
-        pending_ = HttpRequest{};
-        return Result::kRequest;
+        return complete(out);
       }
       case State::kChunkHeader: {
-        const std::string_view view(
-            reinterpret_cast<const char*>(buffer_.data()) + consumed_,
-            buffer_.size() - consumed_);
+        const std::string_view view = buffer_.view();
         const auto eol = view.find("\r\n");
         if (eol == std::string_view::npos) {
           if (view.size() > 64) return fail("malformed chunk size line");
@@ -282,7 +374,7 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
         }
         const auto size = parse_chunk_size(view.substr(0, eol));
         if (!size.has_value()) return fail("malformed chunk size line");
-        consumed_ += eol + 2;
+        buffer_.consume(eol + 2);
         if (pending_.body.size() + *size > kMaxBodyBytes) {
           return fail("body exceeds limit");
         }
@@ -297,41 +389,31 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
       case State::kChunkData: {
         // The chunk's data plus its trailing CRLF must be consumed; the
         // CRLF is validated once fully buffered.
-        const std::size_t available = buffer_.size() - consumed_;
-        const std::size_t take = std::min(available, chunk_remaining_);
-        pending_.body.insert(pending_.body.end(),
-                             buffer_.begin() + static_cast<std::ptrdiff_t>(
-                                                   consumed_),
-                             buffer_.begin() + static_cast<std::ptrdiff_t>(
-                                                   consumed_ + take));
-        consumed_ += take;
-        chunk_remaining_ -= take;
+        chunk_remaining_ -=
+            buffer_.move_into(pending_.body, chunk_remaining_);
         if (chunk_remaining_ > 0) return Result::kNeedMore;
-        if (buffer_.size() - consumed_ < 2) return Result::kNeedMore;
-        if (buffer_[consumed_] != '\r' || buffer_[consumed_ + 1] != '\n') {
+        const std::string_view view = buffer_.view();
+        if (view.size() < 2) return Result::kNeedMore;
+        if (view[0] != '\r' || view[1] != '\n') {
           return fail("chunk data not CRLF-terminated");
         }
-        consumed_ += 2;
+        buffer_.consume(2);
         state_ = State::kChunkHeader;
         break;
       }
       case State::kChunkTrailer: {
         // Trailer section: zero or more header lines, then a blank line.
         // The gateway ignores trailer fields.
-        const std::string_view view(
-            reinterpret_cast<const char*>(buffer_.data()) + consumed_,
-            buffer_.size() - consumed_);
+        const std::string_view view = buffer_.view();
         const auto end = view.find("\r\n");
         if (end == std::string_view::npos) {
           if (view.size() > kMaxHeaderBytes) return fail("trailer too large");
           return Result::kNeedMore;
         }
-        consumed_ += end + 2;
+        buffer_.consume(end + 2);
         if (end != 0) break;  // a trailer field; keep scanning for blank
         state_ = State::kHeaders;
-        out = std::move(pending_);
-        pending_ = HttpRequest{};
-        return Result::kRequest;
+        return complete(out);
       }
     }
   }
@@ -341,12 +423,7 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
 
 void HttpResponseParser::feed(util::BytesView data) {
   if (poisoned_) return;
-  if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
+  buffer_.append(data);
 }
 
 HttpResponseParser::Result HttpResponseParser::fail(std::string what) {
@@ -359,9 +436,7 @@ HttpResponseParser::Result HttpResponseParser::poll(HttpResponse& out) {
   if (poisoned_) return Result::kError;
   for (;;) {
     if (!in_body_) {
-      const std::string_view view(
-          reinterpret_cast<const char*>(buffer_.data()) + consumed_,
-          buffer_.size() - consumed_);
+      const std::string_view view = buffer_.view();
       const auto head_end = view.find("\r\n\r\n");
       if (head_end == std::string_view::npos) return Result::kNeedMore;
       const std::string_view head = view.substr(0, head_end);
@@ -384,40 +459,31 @@ HttpResponseParser::Result HttpResponseParser::poll(HttpResponse& out) {
         }
         status = status * 10 + (code[static_cast<std::size_t>(i)] - '0');
       }
-      pending_ = HttpResponse{};
       pending_.status = status;
+      pending_.close_connection = false;
       const std::string_view header_block =
           line_end == std::string_view::npos ? std::string_view{}
                                              : head.substr(line_end + 2);
-      if (!parse_header_lines(header_block, pending_.headers)) {
+      if (!pending_.headers.parse(header_block)) {
         return fail("malformed header line");
       }
-      consumed_ += head_end + 4;
+      buffer_.consume(head_end + 4);
       std::size_t length = 0;
       if (const auto cl = pending_.header("content-length")) {
         const auto parsed = parse_size(trim(*cl));
         if (!parsed.has_value()) return fail("malformed content-length");
         length = *parsed;
       }
-      if (length == 0) {
-        out = std::move(pending_);
-        return Result::kResponse;
-      }
       body_remaining_ = length;
-      pending_.body.reserve(length);
       in_body_ = true;
     }
-    const std::size_t available = buffer_.size() - consumed_;
-    const std::size_t take = std::min(available, body_remaining_);
-    pending_.body.insert(
-        pending_.body.end(),
-        buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_),
-        buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_ + take));
-    consumed_ += take;
-    body_remaining_ -= take;
+    body_remaining_ -= buffer_.move_into(pending_.body, body_remaining_);
     if (body_remaining_ > 0) return Result::kNeedMore;
     in_body_ = false;
-    out = std::move(pending_);
+    std::swap(out, pending_);
+    if (pending_.body.capacity() != 0) {
+      util::BufferPool::instance().release(std::move(pending_.body));
+    }
     return Result::kResponse;
   }
 }

@@ -1,7 +1,8 @@
 #include "gateway/mtom.hpp"
 
 #include <algorithm>
-#include <cctype>
+
+#include "gateway/http.hpp"
 
 namespace maqs::gateway {
 
@@ -9,8 +10,8 @@ namespace {
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
+  std::transform(out.begin(), out.end(), out.begin(), [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
   });
   return out;
 }
@@ -37,6 +38,24 @@ std::string_view unwrap(std::string_view s, char open, char close) {
   return s;
 }
 
+/// Whether `text` holds the dash-boundary "--<boundary>" at `pos`.
+bool delimiter_at(std::string_view text, std::size_t pos,
+                  std::string_view boundary) {
+  return text.substr(pos, 2) == "--" &&
+         text.substr(pos + 2, boundary.size()) == boundary;
+}
+
+/// First CRLF + dash-boundary at or after `pos`; npos when none.
+std::size_t find_delimiter(std::string_view text, std::size_t pos,
+                           std::string_view boundary) {
+  for (;;) {
+    pos = text.find("\r\n", pos);
+    if (pos == std::string_view::npos) return pos;
+    if (delimiter_at(text, pos + 2, boundary)) return pos;
+    ++pos;
+  }
+}
+
 }  // namespace
 
 const MtomPart* MtomContainer::find(std::string_view cid_url) const {
@@ -48,10 +67,10 @@ const MtomPart* MtomContainer::find(std::string_view cid_url) const {
   return nullptr;
 }
 
-ContentType parse_content_type(std::string_view header_value) {
-  ContentType out;
+ContentTypeView split_content_type(std::string_view header_value) {
+  ContentTypeView out;
   const auto semi = header_value.find(';');
-  out.media_type = to_lower(trim(header_value.substr(0, semi)));
+  out.media_type = trim(header_value.substr(0, semi));
   std::string_view rest =
       semi == std::string_view::npos ? std::string_view{}
                                      : header_value.substr(semi + 1);
@@ -62,24 +81,27 @@ ContentType parse_content_type(std::string_view header_value) {
                                           : rest.substr(next + 1);
     const auto eq = param.find('=');
     if (eq == std::string_view::npos) continue;
-    const std::string name = to_lower(trim(param.substr(0, eq)));
-    if (name == "boundary") {
-      out.boundary = std::string(unwrap(trim(param.substr(eq + 1)), '"', '"'));
+    if (iequals(trim(param.substr(0, eq)), "boundary")) {
+      out.boundary = unwrap(trim(param.substr(eq + 1)), '"', '"');
     }
   }
   return out;
+}
+
+ContentType parse_content_type(std::string_view header_value) {
+  const ContentTypeView view = split_content_type(header_value);
+  return ContentType{to_lower(view.media_type), std::string(view.boundary)};
 }
 
 std::optional<MtomContainer> parse_multipart_related(
     util::BytesView body, std::string_view boundary) {
   if (boundary.empty()) return std::nullopt;
   const std::string_view text = as_view(body);
-  const std::string delimiter = "--" + std::string(boundary);
 
   // The container must open with the first dash-boundary (a preamble is
   // not part of this subset).
-  if (text.substr(0, delimiter.size()) != delimiter) return std::nullopt;
-  std::size_t pos = delimiter.size();
+  if (!delimiter_at(text, 0, boundary)) return std::nullopt;
+  std::size_t pos = 2 + boundary.size();
 
   MtomContainer container;
   bool have_root = false;
@@ -96,8 +118,8 @@ std::optional<MtomContainer> parse_multipart_related(
     const auto head_end = text.find("\r\n\r\n", pos);
     if (head_end == std::string_view::npos) return std::nullopt;
     std::string_view head = text.substr(pos, head_end - pos);
-    std::string content_id;
-    std::string content_type = "application/octet-stream";
+    std::string_view content_id;
+    std::string_view content_type = "application/octet-stream";
     while (!head.empty()) {
       const auto eol = head.find("\r\n");
       const std::string_view line =
@@ -106,22 +128,21 @@ std::optional<MtomContainer> parse_multipart_related(
                                            : head.substr(eol + 2);
       const auto colon = line.find(':');
       if (colon == std::string_view::npos) return std::nullopt;
-      const std::string name = to_lower(trim(line.substr(0, colon)));
+      const std::string_view name = trim(line.substr(0, colon));
       const std::string_view value = trim(line.substr(colon + 1));
-      if (name == "content-id") {
-        content_id = std::string(unwrap(value, '<', '>'));
-      } else if (name == "content-type") {
-        content_type = to_lower(value);
+      if (iequals(name, "content-id")) {
+        content_id = unwrap(value, '<', '>');
+      } else if (iequals(name, "content-type")) {
+        content_type = value;
       }
     }
     pos = head_end + 4;
 
     // Part data runs to the next CRLF + dash-boundary.
-    const std::string closing = "\r\n" + delimiter;
-    const auto data_end = text.find(closing, pos);
+    const auto data_end = find_delimiter(text, pos, boundary);
     if (data_end == std::string_view::npos) return std::nullopt;
     const util::BytesView data = body.subspan(pos, data_end - pos);
-    pos = data_end + closing.size();
+    pos = data_end + 4 + boundary.size();
 
     if (!have_root) {
       // First part is the root JSON document regardless of cid.
@@ -129,8 +150,8 @@ std::optional<MtomContainer> parse_multipart_related(
       have_root = true;
     } else {
       if (content_id.empty()) return std::nullopt;
-      container.parts.push_back(
-          MtomPart{std::move(content_id), std::move(content_type), data});
+      container.parts.push_back(MtomPart{std::string(content_id),
+                                         to_lower(content_type), data});
     }
   }
 }

@@ -20,8 +20,8 @@
 // Parsing is zero-copy: each part's data is a BytesView into the
 // container body (which the gateway keeps alive until the DII request is
 // encoded), so a 4KiB blob crosses from HTTP body to CDR request body
-// with exactly one copy — and none at all on the reply side, where the
-// part is a borrowed ChainBuf region over the reply buffer.
+// with exactly one copy — and on the reply side with one more, from the
+// reply buffer into the response frame.
 #pragma once
 
 #include <optional>
@@ -49,9 +49,18 @@ struct MtomContainer {
   const MtomPart* find(std::string_view cid_url) const;
 };
 
-/// Extracts the media type (lowercased, e.g. "multipart/related") and the
-/// boundary parameter from a Content-Type header value. The boundary is
-/// empty when the parameter is absent.
+/// A Content-Type header value split in place: the media type (trimmed,
+/// in the case it was sent in) and the boundary parameter (unquoted; empty
+/// when absent), both views into the value. The gateway reads request
+/// bodies through this form.
+struct ContentTypeView {
+  std::string_view media_type;
+  std::string_view boundary;
+};
+ContentTypeView split_content_type(std::string_view header_value);
+
+/// split_content_type's result as owned strings, the media type
+/// lowercased (e.g. "multipart/related").
 struct ContentType {
   std::string media_type;
   std::string boundary;

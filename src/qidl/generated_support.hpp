@@ -47,7 +47,7 @@ template <typename T>
 void read(cdr::Decoder& dec, std::vector<T>& v) {
   const std::uint32_t n = dec.read_count();
   v.clear();
-  v.reserve(n);
+  v.reserve(dec.reservable(n, sizeof(T)));
   for (std::uint32_t i = 0; i < n; ++i) {
     T item{};
     read(dec, item);

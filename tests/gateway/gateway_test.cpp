@@ -154,6 +154,14 @@ TEST_F(GatewayTest, BadBodiesAre400) {
   EXPECT_EQ(impl_->calls, 0);
 }
 
+TEST_F(GatewayTest, RepeatedParameterTakesItsFirstValue) {
+  const auto resp =
+      web_.request("POST", "/api/Echo/add", "{\"a\":1,\"b\":2,\"a\":40}");
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, 200);
+  EXPECT_EQ(text(*resp), "{\"result\":3}");
+}
+
 TEST_F(GatewayTest, MalformedHttpIs400AndDropsConnection) {
   web_.send_text("THIS IS NOT HTTP\r\n\r\n");
   const auto resp = web_.await_response();
@@ -388,6 +396,155 @@ TEST_F(GatewayTest, IdleConnectionsAreReaped) {
 
 TEST_F(GatewayTest, ExposeRejectsUnknownInterface) {
   EXPECT_THROW(gw_.expose("Nope", ref_), Error);
+}
+
+TEST_F(GatewayTest, PipelinedRequestTornDuringAnInvocation) {
+  // The first request reaches the gateway at 1 ms, and its invocation
+  // pumps the loop until the reply comes back at 3 ms. The second request
+  // arrives meanwhile in two payloads, split inside its body, and must
+  // wait for the first to be answered without disturbing it.
+  const std::string long_text(300, 'z');
+  const util::Bytes first = HttpTestClient::encode_request(
+      "POST", "/api/Echo/echo", "{\"s\":\"first\"}");
+  const util::Bytes second = HttpTestClient::encode_request(
+      "POST", "/api/Echo/echo", "{\"s\":\"" + long_text + "\"}");
+  const auto split = static_cast<std::ptrdiff_t>(second.size() - 100);
+  const util::Bytes part_a(second.begin(), second.begin() + split);
+  const util::Bytes part_b(second.begin() + split, second.end());
+  bool torn_mid_invocation = false;
+  web_.send_raw(first);
+  loop_.schedule(500 * sim::kMicrosecond, [&] { web_.send_raw(part_a); });
+  loop_.schedule(1500 * sim::kMicrosecond, [&] { web_.send_raw(part_b); });
+  loop_.schedule(2600 * sim::kMicrosecond, [&] {
+    // Both parts have landed; the first request is parsed, unanswered.
+    torn_mid_invocation = gw_.stats().requests == 1 && gw_.stats().ok == 0;
+  });
+
+  const auto one = web_.await_response();
+  ASSERT_TRUE(one.has_value());
+  EXPECT_EQ(text(*one), "{\"result\":\"first\"}");
+  const auto two = web_.await_response();
+  ASSERT_TRUE(two.has_value());
+  EXPECT_EQ(text(*two), "{\"result\":\"" + long_text + "\"}");
+  EXPECT_TRUE(torn_mid_invocation);
+  EXPECT_EQ(gw_.stats().ok, 2u);
+  EXPECT_EQ(gw_.open_connections(), 1u);
+}
+
+/// Every byte the gateway sends to one client address, unparsed.
+class RawHttpClient {
+ public:
+  RawHttpClient(net::Network& net, net::Address self, net::Address gateway)
+      : net_(net), self_(std::move(self)), gateway_(std::move(gateway)) {
+    if (!net_.has_node(self_.node)) net_.add_node(self_.node);
+    net_.bind(self_, [this](const net::Address&, const util::Bytes& payload) {
+      received_.append(payload.begin(), payload.end());
+      ++payloads_;
+    });
+  }
+  ~RawHttpClient() { net_.unbind(self_); }
+  RawHttpClient(const RawHttpClient&) = delete;
+  RawHttpClient& operator=(const RawHttpClient&) = delete;
+
+  /// Sends `head` (request line and headers, each line CRLF-terminated)
+  /// with a content-length for `body`, then waits for one more payload.
+  void exchange(const std::string& head, const std::string& body) {
+    const std::string wire = head + "content-length: " +
+                             std::to_string(body.size()) + "\r\n\r\n" + body;
+    const std::size_t want = payloads_ + 1;
+    net_.send(self_, gateway_, util::Bytes(wire.begin(), wire.end()));
+    const sim::TimePoint deadline = net_.loop().now() + 10 * sim::kSecond;
+    net_.loop().run_until(
+        [&] { return payloads_ >= want || net_.loop().now() >= deadline; });
+  }
+
+  const std::string& received() const noexcept { return received_; }
+
+ private:
+  net::Network& net_;
+  net::Address self_;
+  net::Address gateway_;
+  std::string received_;
+  std::size_t payloads_ = 0;
+};
+
+TEST_F(GatewayTest, ResponseBytesAreExact) {
+  // Pins the gateway's HTTP output byte for byte: 200 JSON replies with
+  // and without x-trace-id, a 400 fault, and a reply that closes the
+  // connection, all on one keep-alive connection.
+  RawHttpClient raw(net_, {"raw", 80}, gw_.endpoint());
+  raw.exchange("POST /api/Echo/echo HTTP/1.1\r\n",
+               "{\"s\":\"tab\\there \\\"q\\\" \\u00e9\"}");
+  raw.exchange("POST /api/Echo/add HTTP/1.1\r\nX-Trace-Id: abc123\r\n",
+               "{ \"b\" : 40, \"a\" : 2 }");
+  raw.exchange("POST /api/Echo/set_value HTTP/1.1\r\n"
+               "content-type: Application/JSON\r\n",
+               "{\"v\":7}");
+  raw.exchange("POST /api/Echo/blob HTTP/1.1\r\n", "{\"data\":[1,2,255]}");
+  raw.exchange("POST /api/Echo/add HTTP/1.1\r\n", "{\"a\":1}");
+  raw.exchange("POST /api/Echo/value HTTP/1.1\r\nConnection: close\r\n", "");
+  EXPECT_EQ(raw.received(),
+            "HTTP/1.1 200 OK\r\n"
+            "content-type: application/json\r\n"
+            "content-length: 35\r\n"
+            "\r\n"
+            "{\"result\":\"tab\\there \\\"q\\\" \\u00e9\"}"
+            "HTTP/1.1 200 OK\r\n"
+            "content-type: application/json\r\n"
+            "x-trace-id: 0000000000abc123\r\n"
+            "content-length: 13\r\n"
+            "\r\n"
+            "{\"result\":42}"
+            "HTTP/1.1 200 OK\r\n"
+            "content-type: application/json\r\n"
+            "content-length: 15\r\n"
+            "\r\n"
+            "{\"result\":null}"
+            "HTTP/1.1 200 OK\r\n"
+            "content-type: application/json\r\n"
+            "content-length: 20\r\n"
+            "\r\n"
+            "{\"result\":[1,2,255]}"
+            "HTTP/1.1 400 Bad Request\r\n"
+            "content-type: application/json\r\n"
+            "content-length: 82\r\n"
+            "\r\n"
+            "{\"error\":{\"status\":400,\"code\":\"maqs/BAD_BODY\","
+            "\"detail\":\"missing parameter \\\"b\\\"\"}}"
+            "HTTP/1.1 200 OK\r\n"
+            "content-type: application/json\r\n"
+            "content-length: 12\r\n"
+            "connection: close\r\n"
+            "\r\n"
+            "{\"result\":7}");
+  EXPECT_EQ(gw_.open_connections(), 0u);
+}
+
+TEST_F(GatewayTest, MultipartResponseBytesAreExact) {
+  GatewayConfig config;
+  config.mtom_threshold = 4;
+  Gateway gw(edge_, repo_, 8082, config);
+  gw.expose("Echo", ref_);
+  RawHttpClient raw(net_, {"raw", 80}, gw.endpoint());
+  raw.exchange(
+      "POST /api/Echo/blob HTTP/1.1\r\n"
+      "content-type: multipart/related; boundary=b\r\n"
+      "accept: multipart/related\r\n",
+      "--b\r\ncontent-type: application/json\r\n\r\n"
+      "{\"data\":{\"$blob\":\"cid:p\"}}\r\n"
+      "--b\r\ncontent-id: <p>\r\n\r\nabcd\r\n--b--\r\n");
+  EXPECT_EQ(raw.received(),
+            "HTTP/1.1 200 OK\r\n"
+            "content-type: multipart/related; boundary=maqs-r0; "
+            "type=\"application/json\"\r\n"
+            "content-length: 166\r\n"
+            "\r\n"
+            "--maqs-r0\r\ncontent-type: application/json\r\n\r\n"
+            "{\"result\":{\"$blob\":\"cid:r0\"}}\r\n"
+            "--maqs-r0\r\ncontent-id: <r0>\r\n"
+            "content-type: application/octet-stream\r\n\r\n"
+            "abcd\r\n"
+            "--maqs-r0--\r\n");
 }
 
 }  // namespace

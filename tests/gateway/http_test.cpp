@@ -5,6 +5,8 @@
 #include <string>
 
 #include "gateway/http.hpp"
+#include "support/heap_meter.hpp"
+#include "util/buffer_pool.hpp"
 
 namespace maqs::gateway {
 namespace {
@@ -210,6 +212,78 @@ TEST(HttpResponseParser, TornResponse) {
     EXPECT_EQ(resp.status, 200);
     EXPECT_EQ(resp.body, bytes("body"));
   }
+}
+
+// A declared Content-Length is a claim, not bytes: until the body arrives
+// a parser holds only what it was fed (plus its fixed per-request state).
+constexpr std::size_t kMaxHeapPerFedOctet = 16;
+
+TEST(HttpParser, DeclaredLengthReservesNothingBeforeTheBody) {
+  const std::string head =
+      "POST /api/Echo/echo HTTP/1.1\r\ncontent-length: 4194304\r\n\r\n";
+  util::BufferPool::instance().clear();
+  const util::Bytes wire = bytes(head);
+  const std::size_t before = maqs::testing::heap::live_bytes();
+  HttpParser parser;
+  parser.feed(wire);
+  HttpRequest req;
+  EXPECT_EQ(parser.poll(req), HttpParser::Result::kNeedMore);
+  EXPECT_LE(maqs::testing::heap::live_bytes() - before,
+            kMaxHeapPerFedOctet * head.size());
+
+  // The body then grows with what arrives.
+  parser.feed(bytes(std::string(1000, 'x')));
+  EXPECT_EQ(parser.poll(req), HttpParser::Result::kNeedMore);
+  EXPECT_LE(maqs::testing::heap::live_bytes() - before,
+            kMaxHeapPerFedOctet * (head.size() + 1000));
+  util::BufferPool::instance().clear();
+}
+
+TEST(HttpResponseParser, DeclaredLengthReservesNothingBeforeTheBody) {
+  const std::string head = "HTTP/1.1 200 OK\r\ncontent-length: 4194304\r\n\r\n";
+  util::BufferPool::instance().clear();
+  const util::Bytes wire = bytes(head);
+  const std::size_t before = maqs::testing::heap::live_bytes();
+  HttpResponseParser parser;
+  parser.feed(wire);
+  HttpResponse resp;
+  EXPECT_EQ(parser.poll(resp), HttpResponseParser::Result::kNeedMore);
+  EXPECT_LE(maqs::testing::heap::live_bytes() - before,
+            kMaxHeapPerFedOctet * head.size());
+  util::BufferPool::instance().clear();
+}
+
+TEST(HttpParser, RecycledRequestsStayIndependent) {
+  // One request object reused across keep-alive requests (as the gateway
+  // does) takes each request's own head and body, and a request handed
+  // out earlier keeps its bytes while more are fed.
+  HttpParser parser;
+  HttpRequest first;
+  parser.feed(bytes("POST /a HTTP/1.1\r\nX-One: 1\r\nx-two: 2\r\n"
+                    "content-length: 3\r\n\r\nabc"));
+  ASSERT_EQ(parser.poll(first), HttpParser::Result::kRequest);
+  parser.feed(bytes("GET /b HTTP/1.1\r\nx-three: 3\r\n\r\n"
+                    "POST /c HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi"));
+  EXPECT_EQ(first.target, "/a");
+  EXPECT_EQ(body_text(first), "abc");
+  ASSERT_EQ(first.headers.size(), 3u);
+  EXPECT_EQ(*first.header("x-one"), "1");
+
+  HttpRequest req = std::move(first);
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  EXPECT_EQ(req.method, "GET");
+  EXPECT_EQ(req.target, "/b");
+  EXPECT_TRUE(req.body.empty());
+  ASSERT_EQ(req.headers.size(), 1u);
+  EXPECT_EQ(*req.header("x-three"), "3");
+  EXPECT_FALSE(req.header("x-one").has_value());
+
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  EXPECT_EQ(req.target, "/c");
+  EXPECT_EQ(body_text(req), "hi");
+  ASSERT_EQ(req.headers.size(), 1u);
+  EXPECT_EQ(*req.header("content-length"), "2");
+  EXPECT_EQ(parser.buffered(), 0u);
 }
 
 }  // namespace

@@ -11,12 +11,25 @@
 //      nested structs).
 //  P5  the parser is total on byte soup: random input either parses or
 //      poisons — never crashes, loops, or silently drops bytes.
+//  P6  the direct JSON reader (JsonDocument + JsonCursor::write_cdr)
+//      writes the CDR json_to_any(parse_json(doc)).encode_value writes,
+//      for documents written loosely (shuffled members, whitespace,
+//      escapes, repeated member names) and for mutations of them, and
+//      rejects exactly the documents that path rejects.
+//  P7  the direct JSON writer (write_json_from_cdr) emits exactly
+//      write_json(any_to_json(Any::decode_value(...))), and fails exactly
+//      where that fails on mutated CDR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cdr/any.hpp"
+#include "cdr/decoder.hpp"
+#include "cdr/encoder.hpp"
 #include "cdr/typecode.hpp"
 #include "gateway/http.hpp"
 #include "gateway/json.hpp"
@@ -265,6 +278,254 @@ TEST(GatewayJsonProperty, WriterParserFixedPoint) {
     const std::string once = write_json(json);
     EXPECT_EQ(write_json(parse_json(once)), once) << "round=" << round;
   }
+}
+
+// ---- P6/P7: the direct reader and writer against the model -------------
+
+/// Zero to two whitespace characters.
+void add_ws(util::Rng& rng, std::string& out) {
+  static constexpr char kWs[] = {' ', '\t', '\n', '\r'};
+  for (std::uint64_t n = rng.next_below(3); n > 0; --n) {
+    out.push_back(kWs[rng.next_below(4)]);
+  }
+}
+
+/// A JSON string literal for `s`, each byte written plainly or escaped at
+/// random.
+void add_string(util::Rng& rng, std::string_view s, std::string& out) {
+  out.push_back('"');
+  for (const char c : s) {
+    const auto b = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\' || b < 0x20 || rng.chance(0.2)) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04X", b);
+      out += buf;
+    } else if (c == '/' && rng.chance(0.5)) {
+      out += "\\/";
+    } else {
+      out.push_back(c);
+    }
+  }
+  out.push_back('"');
+}
+
+/// JSON text for `value` as a loose client writes it: whitespace between
+/// tokens, struct members in random order, strings partly escaped, enums
+/// by name or by ordinal.
+void add_json(util::Rng& rng, const Any& value, std::string& out) {
+  add_ws(rng, out);
+  switch (value.kind()) {
+    case TCKind::kBoolean: out += value.as_bool() ? "true" : "false"; break;
+    case TCKind::kOctet:
+    case TCKind::kShort:
+    case TCKind::kLong:
+    case TCKind::kLongLong: out += std::to_string(value.as_integer()); break;
+    case TCKind::kFloat:
+    case TCKind::kDouble: {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.17g",
+                    value.kind() == TCKind::kFloat
+                        ? static_cast<double>(value.as_float())
+                        : value.as_double());
+      out += buf;
+      break;
+    }
+    case TCKind::kString: add_string(rng, value.as_string(), out); break;
+    case TCKind::kEnum:
+      if (rng.chance(0.5)) {
+        add_string(rng, value.as_enum_name(), out);
+      } else {
+        out += std::to_string(value.as_enum_ordinal());
+      }
+      break;
+    case TCKind::kSequence: {
+      out.push_back('[');
+      bool first = true;
+      for (const Any& item : value.as_elements()) {
+        if (!first) out.push_back(',');
+        first = false;
+        add_json(rng, item, out);
+      }
+      add_ws(rng, out);
+      out.push_back(']');
+      break;
+    }
+    default: {  // struct
+      std::vector<std::size_t> order(value.as_elements().size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.next_below(i)]);
+      }
+      out.push_back('{');
+      bool first = true;
+      for (const std::size_t i : order) {
+        if (!first) out.push_back(',');
+        first = false;
+        add_ws(rng, out);
+        add_string(rng, value.type()->members()[i].first, out);
+        add_ws(rng, out);
+        out.push_back(':');
+        add_json(rng, value.as_elements()[i], out);
+      }
+      add_ws(rng, out);
+      out.push_back('}');
+      break;
+    }
+  }
+  add_ws(rng, out);
+}
+
+/// A random type and value; one time in four wrapped in a struct whose two
+/// members share a name, so that the first of the two in document order
+/// supplies both fields.
+std::pair<cdr::TypeCodePtr, Any> random_typed_value(util::Rng& rng) {
+  const cdr::TypeCodePtr inner = random_typecode(rng, 3);
+  if (!rng.chance(0.25)) return {inner, random_value(rng, inner)};
+  const cdr::TypeCodePtr pair =
+      TypeCode::struct_tc("Twice", {{"v", inner}, {"v", inner}});
+  return {pair, Any::from_struct(pair, {random_value(rng, inner),
+                                        random_value(rng, inner)})};
+}
+
+/// One random edit: replace, insert or delete a byte, or truncate.
+void mutate(util::Rng& rng, std::string& doc) {
+  static constexpr std::string_view kBytes = "{}[]\",:\\ -+.eE0123456789tfnu";
+  const std::size_t at = rng.next_below(doc.size() + 1);
+  const char c = kBytes[rng.next_below(kBytes.size())];
+  switch (rng.next_below(4)) {
+    case 0:
+      if (at < doc.size()) doc[at] = c;
+      break;
+    case 1: doc.insert(doc.begin() + static_cast<std::ptrdiff_t>(at), c); break;
+    case 2:
+      if (at < doc.size()) doc.erase(at, 1);
+      break;
+    default: doc.resize(at);
+  }
+}
+
+/// CDR of `doc` read as `type` through the model; nullopt when rejected.
+std::optional<util::Bytes> model_cdr(const std::string& doc,
+                                     const cdr::TypeCodePtr& type) {
+  try {
+    cdr::Encoder enc;
+    json_to_any(parse_json(doc), type).encode_value(enc);
+    return enc.take();
+  } catch (const JsonError&) {
+    return std::nullopt;
+  }
+}
+
+/// The same through the direct reader.
+std::optional<util::Bytes> direct_cdr(const std::string& doc,
+                                      const cdr::TypeCodePtr& type) {
+  try {
+    cdr::Encoder enc;
+    JsonDocument(doc).root().write_cdr(type, enc);
+    return enc.take();
+  } catch (const JsonError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(GatewayJsonProperty, DirectReaderMatchesTheModel) {
+  util::Rng rng(0xfeedb);
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 600; ++round) {
+    const auto [tc, value] = random_typed_value(rng);
+    std::string doc;
+    add_json(rng, value, doc);
+    const auto expected = model_cdr(doc, tc);
+    ASSERT_TRUE(expected.has_value()) << "round=" << round << " doc=" << doc;
+    EXPECT_EQ(direct_cdr(doc, tc), expected)
+        << "round=" << round << " doc=" << doc;
+    for (int edit = 0; edit < 8; ++edit) {
+      std::string mutated = doc;
+      for (std::uint64_t n = 1 + rng.next_below(3); n > 0; --n) {
+        mutate(rng, mutated);
+      }
+      const auto model = model_cdr(mutated, tc);
+      EXPECT_EQ(direct_cdr(mutated, tc), model)
+          << "round=" << round << " doc=" << mutated;
+      ++(model.has_value() ? accepted : rejected);
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 200);
+  EXPECT_GT(rejected, 2000);
+}
+
+TEST(GatewayJsonProperty, DirectReaderKeepsTheModelsDepthLimit) {
+  const cdr::TypeCodePtr tc = TypeCode::long_tc();
+  for (const int depth : {64, 65, 66, 200}) {
+    const std::string doc = std::string(static_cast<std::size_t>(depth), '[') +
+                            std::string(static_cast<std::size_t>(depth), ']');
+    bool model_throws = false;
+    try {
+      parse_json(doc);
+    } catch (const JsonError&) {
+      model_throws = true;
+    }
+    bool direct_throws = false;
+    try {
+      JsonDocument{doc};
+    } catch (const JsonError&) {
+      direct_throws = true;
+    }
+    EXPECT_EQ(direct_throws, model_throws) << depth;
+  }
+}
+
+/// JSON for a CDR stream through the model; nullopt when it fails.
+std::optional<std::string> model_json(const util::Bytes& cdr,
+                                      const cdr::TypeCodePtr& type) {
+  try {
+    cdr::Decoder dec{util::BytesView(cdr)};
+    return write_json(any_to_json(Any::decode_value(dec, type)));
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+/// The same through the direct writer.
+std::optional<std::string> direct_json(const util::Bytes& cdr,
+                                       const cdr::TypeCodePtr& type) {
+  try {
+    cdr::Decoder dec{util::BytesView(cdr)};
+    util::Bytes out;
+    write_json_from_cdr(dec, type, out);
+    return std::string(out.begin(), out.end());
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+TEST(GatewayJsonProperty, DirectWriterMatchesTheModel) {
+  util::Rng rng(0xfeedc);
+  int failed = 0;
+  for (int round = 0; round < 600; ++round) {
+    const auto [tc, value] = random_typed_value(rng);
+    cdr::Encoder enc;
+    value.encode_value(enc);
+    const util::Bytes cdr = enc.take();
+    const auto expected = model_json(cdr, tc);
+    ASSERT_TRUE(expected.has_value()) << "round=" << round;
+    EXPECT_EQ(direct_json(cdr, tc), expected) << "round=" << round;
+    for (int edit = 0; edit < 4 && !cdr.empty(); ++edit) {
+      util::Bytes mutated = cdr;
+      if (rng.chance(0.5)) {
+        mutated.resize(rng.next_below(cdr.size()));
+      } else {
+        mutated[rng.next_below(cdr.size())] =
+            static_cast<std::uint8_t>(rng.next());
+      }
+      const auto model = model_json(mutated, tc);
+      EXPECT_EQ(direct_json(mutated, tc), model) << "round=" << round;
+      failed += model.has_value() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(failed, 100);
 }
 
 }  // namespace
