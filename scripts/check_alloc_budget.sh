@@ -24,8 +24,9 @@ import sys
 # (scenario, op) -> max allocs/request.
 BUDGETS = {
     # Small frames are pooled (acquire reserves at least the pool's 64-byte
-    # floor): steady state is 1, the pending-reply index node.
-    ("plain", "add"): 2.0,
+    # floor), and the pending-reply table, the in-flight slots and the
+    # event loop reuse their capacity: steady state is 0.
+    ("plain", "add"): 1.0,
     ("plain", "blob4k"): 8.0,
     ("plain_replicated", "add"): 8.0,
     ("woven_streaming", "add"): 12.0,
@@ -35,8 +36,9 @@ BUDGETS = {
     ("woven_renegotiated", "add"): 12.0,
     # Edge gateway rows: one keep-alive HTTP round trip including JSON
     # (or MTOM multipart) translation and the DII bridge. Tracked steady
-    # state is 5/7/9 allocs/request; budgets leave ~30% headroom so a
-    # copy sneaking into the parse->marshal->invoke path still trips.
+    # state is 4/6/8 allocs/request; the budgets, set when it was 5/7/9,
+    # leave headroom so a copy sneaking into the parse->marshal->invoke
+    # path still trips.
     ("gateway_json", "add"): 7.0,
     ("gateway_json", "echo"): 9.0,
     ("gateway_blob4k", "blob4k"): 12.0,

@@ -227,12 +227,8 @@ bool takes_no_octets(const TypeCode& type) {
 }  // namespace
 
 std::uint32_t read_sequence_count(Decoder& dec, const TypeCode& element) {
-  if (!takes_no_octets(element)) return dec.read_count();
-  // A valid sequence<void> may end the stream: elements that take no
-  // octets are held to the whole stream instead of the octets left.
-  const std::uint32_t n = dec.read_u32();
-  if (n > dec.size()) throw CdrError("any: element count exceeds stream");
-  return n;
+  return takes_no_octets(element) ? dec.read_empty_element_count()
+                                  : dec.read_count();
 }
 
 Any Any::decode_value(Decoder& dec, const TypeCodePtr& type) {

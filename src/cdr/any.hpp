@@ -98,7 +98,9 @@ class Any {
 
 /// Reads a sequence's element count from a peer's stream, as
 /// Any::decode_value does: rejected when larger than the octets left (or,
-/// for elements that encode to no octets, than the whole stream).
+/// for elements that encode to no octets, than what remains of the one
+/// allowance all such elements of the decode share; see
+/// Decoder::read_empty_element_count).
 std::uint32_t read_sequence_count(Decoder& dec, const TypeCode& element);
 
 }  // namespace maqs::cdr

@@ -118,6 +118,20 @@ class Decoder {
     return n;
   }
 
+  /// Reads the peer-supplied count of a sequence whose elements take no
+  /// octets (void, structs of void). Such a sequence may end the stream, so
+  /// its count cannot be held to the octets left; instead all such
+  /// elements of this whole decode share one allowance of one per octet of
+  /// the stream, so nesting these sequences cannot multiply it.
+  std::uint32_t read_empty_element_count() {
+    const std::uint32_t n = read_u32();
+    if (n > empty_element_allowance_) {
+      throw CdrError("cdr: element count exceeds stream");
+    }
+    empty_element_allowance_ -= n;
+    return n;
+  }
+
   /// Consumes the unread rest of the stream (no length prefix); QoS
   /// skeletons lift the raw argument stream out this way for their payload
   /// transforms. Same lifetime rule as read_string_view().
@@ -162,6 +176,7 @@ class Decoder {
   util::BytesView data_;
   std::size_t pos_ = 0;
   std::size_t reserve_budget_ = kReserveBudget * data_.size();
+  std::size_t empty_element_allowance_ = data_.size();
 };
 
 }  // namespace maqs::cdr

@@ -92,16 +92,15 @@ Gateway::Gateway(orb::Orb& orb, const qidl::InterfaceRepository& repo,
     : orb_(orb),
       repo_(repo),
       config_(std::move(config)),
-      listen_{orb.endpoint().node, port},
       routes_(RouteTable::build(repo, config_.api_prefix)) {
-  orb_.network().bind(listen_,
-                      [this](const net::Address& from,
-                             const util::Bytes& payload) {
-                        on_payload(from, payload);
-                      });
+  listen_ = &orb_.network().bind(
+      {orb.endpoint().node, port},
+      [this](const net::Endpoint& from, const util::Bytes& payload) {
+        on_payload(from, payload);
+      });
 }
 
-Gateway::~Gateway() { orb_.network().unbind(listen_); }
+Gateway::~Gateway() { orb_.network().unbind(endpoint()); }
 
 void Gateway::expose(const std::string& interface_name, orb::ObjRef target,
                      orb::ClientDelegate* mediator) {
@@ -129,10 +128,10 @@ void Gateway::sweep_idle() {
   }
 }
 
-void Gateway::on_payload(const net::Address& from,
+void Gateway::on_payload(const net::Endpoint& from,
                          const util::Bytes& payload) {
   sweep_idle();
-  ConnectionPtr& slot = connections_[from];
+  ConnectionPtr& slot = connections_[&from];
   if (slot == nullptr) {
     slot = std::make_shared<Connection>();
     ++stats_.connections;
@@ -147,7 +146,7 @@ void Gateway::on_payload(const net::Address& from,
   drain(from, conn);
 }
 
-void Gateway::drain(const net::Address& from, const ConnectionPtr& conn) {
+void Gateway::drain(const net::Endpoint& from, const ConnectionPtr& conn) {
   conn->handling = true;
   HttpRequest& req = conn->request;
   for (;;) {
@@ -175,7 +174,7 @@ void Gateway::drain(const net::Address& from, const ConnectionPtr& conn) {
     }
   }
   conn->handling = false;
-  if (conn->closed) connections_.erase(from);
+  if (conn->closed) connections_.erase(&from);
 }
 
 std::string_view Gateway::qos_class_for(const HttpRequest& req) const {
@@ -198,7 +197,7 @@ void Gateway::count_status(int status) {
   }
 }
 
-void Gateway::send_json(const net::Address& from, bool keep_alive,
+void Gateway::send_json(const net::Endpoint& from, bool keep_alive,
                         int status, util::Bytes&& body,
                         std::uint64_t trace_id) {
   auto& pool = util::BufferPool::instance();
@@ -220,10 +219,10 @@ void Gateway::send_json(const net::Address& from, bool keep_alive,
   append_head_end(frame, body.size(), !keep_alive);
   frame.insert(frame.end(), body.begin(), body.end());
   pool.release(std::move(body));
-  orb_.network().send(listen_, from, std::move(frame));
+  orb_.network().send(*listen_, from, std::move(frame));
 }
 
-void Gateway::send_fault(const net::Address& from, const HttpRequest& req,
+void Gateway::send_fault(const net::Endpoint& from, const HttpRequest& req,
                          int status, std::string_view code,
                          std::string_view detail, std::uint64_t trace_id) {
   count_status(status);
@@ -231,7 +230,7 @@ void Gateway::send_fault(const net::Address& from, const HttpRequest& req,
             trace_id);
 }
 
-void Gateway::send_mtom_response(const net::Address& from,
+void Gateway::send_mtom_response(const net::Endpoint& from,
                                  const HttpRequest& req,
                                  util::BytesView blob,
                                  std::uint64_t trace_id) {
@@ -291,7 +290,7 @@ void Gateway::send_mtom_response(const net::Address& from,
   put(frame, "\r\n");
   put_delimiter(frame);
   put(frame, kClosing);
-  orb_.network().send(listen_, from, std::move(frame));
+  orb_.network().send(*listen_, from, std::move(frame));
 }
 
 void Gateway::marshal_args(std::string_view json_text,
@@ -344,7 +343,7 @@ void Gateway::marshal_args(std::string_view json_text,
   }
 }
 
-void Gateway::handle(const net::Address& from, Connection& conn) {
+void Gateway::handle(const net::Endpoint& from, Connection& conn) {
   const HttpRequest& req = conn.request;
   // ---- trace: adopt the caller's id or mint one; the gateway.request
   // span stays active across the whole translation, so the DII

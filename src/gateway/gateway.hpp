@@ -125,7 +125,9 @@ class Gateway {
   /// Maps an X-Maqs-Tenant header value to a QoS class name.
   void set_tenant_class(std::string tenant, std::string qos_class);
 
-  const net::Address& endpoint() const noexcept { return listen_; }
+  const net::Address& endpoint() const noexcept {
+    return listen_->address();
+  }
   const RouteTable& routes() const noexcept { return routes_; }
   const GatewayStats& stats() const noexcept { return stats_; }
   std::size_t open_connections() const noexcept {
@@ -155,11 +157,11 @@ class Gateway {
     orb::ClientDelegate* mediator = nullptr;
   };
 
-  void on_payload(const net::Address& from, const util::Bytes& payload);
-  void drain(const net::Address& from, const ConnectionPtr& conn);
+  void on_payload(const net::Endpoint& from, const util::Bytes& payload);
+  void drain(const net::Endpoint& from, const ConnectionPtr& conn);
   /// Handles the connection's parsed request; sends the response
   /// frame(s) itself.
-  void handle(const net::Address& from, Connection& conn);
+  void handle(const net::Endpoint& from, Connection& conn);
   /// Writes the request body's parameters as CDR onto `args`; throws
   /// Error (answered 400) when the body does not fit the signature.
   void marshal_args(std::string_view json_text,
@@ -168,15 +170,15 @@ class Gateway {
 
   /// Sends a JSON response whose body is `body` (a pooled buffer, spent
   /// here): head and body go out in one pooled frame.
-  void send_json(const net::Address& from, bool keep_alive, int status,
+  void send_json(const net::Endpoint& from, bool keep_alive, int status,
                  util::Bytes&& body, std::uint64_t trace_id);
   /// Builds + sends a structured JSON fault response.
-  void send_fault(const net::Address& from, const HttpRequest& req,
+  void send_fault(const net::Endpoint& from, const HttpRequest& req,
                   int status, std::string_view code, std::string_view detail,
                   std::uint64_t trace_id);
   /// Writes head + multipart container into one pooled frame (blob part
   /// copied exactly once, straight off the reply buffer) and sends it.
-  void send_mtom_response(const net::Address& from, const HttpRequest& req,
+  void send_mtom_response(const net::Endpoint& from, const HttpRequest& req,
                           util::BytesView blob, std::uint64_t trace_id);
 
   void count_status(int status);
@@ -187,7 +189,7 @@ class Gateway {
   orb::Orb& orb_;
   const qidl::InterfaceRepository& repo_;
   GatewayConfig config_;
-  net::Address listen_;
+  const net::Endpoint* listen_ = nullptr;  // bound in the constructor
   RouteTable routes_;
   std::unordered_map<std::string, Exposure> exposures_;  // by interface name
   /// Tenant -> class, looked up by the header's view without a copy.
@@ -199,7 +201,8 @@ class Gateway {
   };
   std::unordered_map<std::string, std::string, ViewHash, std::equal_to<>>
       tenants_;
-  std::unordered_map<net::Address, ConnectionPtr> connections_;
+  /// By the client's endpoint record (one per address, never freed).
+  std::unordered_map<const net::Endpoint*, ConnectionPtr> connections_;
   /// marshal_args' per-parameter value cursors, kept for their capacity.
   std::vector<std::optional<JsonCursor>> param_values_;
   GatewayStats stats_;

@@ -32,7 +32,7 @@ Network::Network(sim::EventLoop& loop, std::uint64_t seed)
     : loop_(loop), rng_(seed) {}
 
 void Network::add_node(const NodeId& node) {
-  nodes_.try_emplace(node);
+  nodes_.try_emplace(node, nodes_.size());
 }
 
 bool Network::has_node(const NodeId& node) const {
@@ -40,11 +40,16 @@ bool Network::has_node(const NodeId& node) const {
 }
 
 bool Network::is_alive(const NodeId& node) const {
-  auto it = nodes_.find(node);
-  return it != nodes_.end() && it->second.alive;
+  const Node* state = find_node(node);
+  return state != nullptr && state->alive;
 }
 
-const Network::NodeState& Network::node_state(const NodeId& node) const {
+const Network::Node* Network::find_node(const NodeId& node) const {
+  auto it = nodes_.find(node);
+  return it != nodes_.end() ? &it->second : nullptr;
+}
+
+Network::Node& Network::node_state(const NodeId& node) {
   auto it = nodes_.find(node);
   if (it == nodes_.end()) {
     throw std::invalid_argument("network: unknown node '" + node + "'");
@@ -52,115 +57,107 @@ const Network::NodeState& Network::node_state(const NodeId& node) const {
   return it->second;
 }
 
+Network::Pair& Network::pair_of(Node& from, const Node& to) {
+  if (to.index >= from.out.size()) from.out.resize(to.index + 1);
+  return from.out[to.index];
+}
+
 void Network::set_link(const NodeId& a, const NodeId& b,
                        const LinkParams& params) {
-  node_state(a);
-  node_state(b);
-  links_[{a, b}] = params;
-  links_[{b, a}] = params;
-  // A cached pair may have resolved to default_link_ before this entry
-  // existed.
-  invalidate_fast_paths();
+  Node& node_a = node_state(a);
+  Node& node_b = node_state(b);
+  pair_of(node_a, node_b).link = params;
+  pair_of(node_b, node_a).link = params;
 }
 
-const LinkParams& Network::link(const NodeId& from, const NodeId& to) const {
-  auto it = links_.find({from, to});
-  return it != links_.end() ? it->second : default_link_;
-}
-
-void Network::crash(const NodeId& node) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
-    throw std::invalid_argument("network: unknown node '" + node + "'");
+LinkParams Network::link(const NodeId& from, const NodeId& to) const {
+  const Node* src = find_node(from);
+  const Node* dst = find_node(to);
+  if (src == nullptr || dst == nullptr || dst->index >= src->out.size()) {
+    return default_link_;
   }
-  it->second.alive = false;
+  const std::optional<LinkParams>& params = src->out[dst->index].link;
+  return params.has_value() ? *params : default_link_;
 }
+
+void Network::crash(const NodeId& node) { node_state(node).alive = false; }
 
 void Network::restart(const NodeId& node) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
-    throw std::invalid_argument("network: unknown node '" + node + "'");
-  }
-  it->second.alive = true;
-  ++it->second.incarnation;
+  Node& state = node_state(node);
+  state.alive = true;
+  ++state.incarnation;
 }
 
 void Network::set_partition(const NodeId& node, int group) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
-    throw std::invalid_argument("network: unknown node '" + node + "'");
-  }
-  it->second.partition = group;
+  node_state(node).partition = group;
 }
 
 void Network::heal_partitions() {
   for (auto& [_, state] : nodes_) state.partition = 0;
 }
 
-void Network::bind(const Address& addr, Handler handler) {
+Endpoint& Network::record(const Address& addr) {
+  auto it = endpoints_.find(addr);
+  if (it != endpoints_.end()) return it->second;
+  Node& node = node_state(addr.node);
+  return endpoints_.try_emplace(addr, addr, node).first->second;
+}
+
+const Endpoint& Network::bind(const Address& addr, Handler handler) {
   node_state(addr.node);
   if (!handler) {
     throw std::invalid_argument("network: null handler for " +
                                 addr.to_string());
   }
-  auto [_, inserted] =
-      handlers_.emplace(addr, std::make_shared<Handler>(std::move(handler)));
-  if (!inserted) {
+  Endpoint& bound = record(addr);
+  if (bound.handler_ != nullptr) {
     throw std::invalid_argument("network: address already bound: " +
                                 addr.to_string());
   }
+  bound.handler_ = std::make_unique<Handler>(std::move(handler));
+  return bound;
 }
 
 void Network::unbind(const Address& addr) {
-  handlers_.erase(addr);
+  auto it = endpoints_.find(addr);
+  if (it == endpoints_.end() || it->second.handler_ == nullptr) return;
+  if (delivering_ > 0) {
+    retired_.push_back(std::move(it->second.handler_));
+  } else {
+    it->second.handler_.reset();
+  }
 }
 
 bool Network::is_bound(const Address& addr) const {
-  return handlers_.contains(addr);
-}
-
-Network::FastPath& Network::fast_path(const NodeId& from, const NodeId& to) {
-  for (FastPath& cached : fast_path_cache_) {
-    if (cached.src != nullptr && cached.from == from && cached.to == to) {
-      return cached;
-    }
-  }
-  auto src_it = nodes_.find(from);
-  if (src_it == nodes_.end()) {
-    throw std::invalid_argument("network: unknown node '" + from + "'");
-  }
-  auto dst_it = nodes_.find(to);
-  if (dst_it == nodes_.end()) {
-    throw std::invalid_argument("network: unknown node '" + to + "'");
-  }
-  FastPath& entry = fast_path_cache_[fast_path_next_];
-  fast_path_next_ = (fast_path_next_ + 1) % fast_path_cache_.size();
-  entry.from = from;
-  entry.to = to;
-  entry.src = &src_it->second;
-  entry.dst = &dst_it->second;
-  entry.link = from == to ? nullptr : &link(from, to);
-  entry.pair_bytes = &per_pair_bytes_[{from, to}];
-  return entry;
+  auto it = endpoints_.find(addr);
+  return it != endpoints_.end() && it->second.handler_ != nullptr;
 }
 
 void Network::send(const Address& from, const Address& to,
                    util::Bytes payload) {
-  const FastPath& path = fast_path(from.node, to.node);
+  const Endpoint& src = record(from);
+  send(src, record(to), std::move(payload));
+}
+
+void Network::send(const Endpoint& from, const Endpoint& to,
+                   util::Bytes payload) {
+  Node& src = *from.node_;
+  const Node& dst = *to.node_;
+  Pair& path = pair_of(src, dst);
 
   ++stats_.messages_sent;
   stats_.bytes_sent += payload.size();
-  *path.pair_bytes += payload.size();
+  path.bytes += payload.size();
 
   const trace::SpanScope::Active* act = trace::SpanScope::active();
 
-  if (!path.src->alive) {
+  if (!src.alive) {
     ++stats_.messages_dropped;
     if (act != nullptr) {
       act->recorder->record_complete(
           act->ctx, "net.transit",
-          transit_detail(from, to, payload.size(), 0, 0), loop_.now(),
-          loop_.now(), "dropped: source down");
+          transit_detail(from.address(), to.address(), payload.size(), 0, 0),
+          loop_.now(), loop_.now(), "dropped: source down");
     }
     util::BufferPool::instance().release(std::move(payload));
     return;
@@ -169,19 +166,18 @@ void Network::send(const Address& from, const Address& to,
   sim::Duration delay;
   sim::Duration queue_wait = 0;
   int retransmits = 0;
-  if (path.link == nullptr) {  // loopback
+  if (&src == &dst) {  // loopback
     delay = loopback_latency_;
   } else {
-    const LinkParams& lp = *path.link;
+    const LinkParams& lp = path.link.has_value() ? *path.link : default_link_;
     sim::Duration transmit = 0;
     if (lp.bandwidth_bps > 0) {
       const double bits = static_cast<double>(payload.size()) * 8.0;
       transmit = sim::from_seconds(bits / lp.bandwidth_bps);
       // Bandwidth serialization: back-to-back messages queue behind each
       // other on the directed link.
-      sim::TimePoint& busy = busy_until_[{from.node, to.node}];
-      const sim::TimePoint start = std::max(loop_.now(), busy);
-      busy = start + transmit;
+      const sim::TimePoint start = std::max(loop_.now(), path.busy_until);
+      path.busy_until = start + transmit;
       queue_wait = start - loop_.now();
       delay = queue_wait + transmit + lp.latency;
     } else {
@@ -203,8 +199,8 @@ void Network::send(const Address& from, const Address& to,
         if (act != nullptr) {
           act->recorder->record_complete(
               act->ctx, "net.transit",
-              transit_detail(from, to, payload.size(), queue_wait,
-                             retransmits - 1),
+              transit_detail(from.address(), to.address(), payload.size(),
+                             queue_wait, retransmits - 1),
               loop_.now(), loop_.now() + delay,
               "dropped: retransmission cap");
         }
@@ -222,19 +218,11 @@ void Network::send(const Address& from, const Address& to,
   if (act != nullptr) {
     act->recorder->record_complete(
         act->ctx, "net.transit",
-        transit_detail(from, to, payload.size(), queue_wait, retransmits),
+        transit_detail(from.address(), to.address(), payload.size(),
+                       queue_wait, retransmits),
         loop_.now(), loop_.now() + delay);
   }
 
-  const std::size_t slot =
-      park_in_flight(from, to, path.src, path.dst, std::move(payload));
-  loop_.schedule(delay, [this, slot] { deliver_slot(slot); });
-}
-
-std::size_t Network::park_in_flight(const Address& from, const Address& to,
-                                    const NodeState* src,
-                                    const NodeState* dst,
-                                    util::Bytes payload) {
   std::size_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -244,59 +232,56 @@ std::size_t Network::park_in_flight(const Address& from, const Address& to,
     in_flight_.emplace_back();
   }
   InFlight& msg = in_flight_[slot];
-  msg.from = from;  // assignment reuses the slot's string/port storage
-  msg.to = to;
-  msg.src = src;
-  msg.dst = dst;
-  msg.dest_incarnation = dst->incarnation;  // incarnation as of send time
+  msg.from = &from;
+  msg.to = &to;
+  msg.dest_incarnation = dst.incarnation;  // incarnation as of send time
   msg.payload = std::move(payload);
-  return slot;
+  loop_.schedule(delay, [this, slot] { deliver_slot(slot); });
 }
 
 void Network::deliver_slot(std::size_t slot) {
-  // Move everything to locals and release the slot BEFORE running the
-  // handler: nested sends re-enter the pool and may grow in_flight_,
-  // invalidating any reference into it.
+  // Take everything and release the slot BEFORE running the handler:
+  // nested sends re-enter the pool and may grow in_flight_, invalidating
+  // any reference into it.
   InFlight& msg = in_flight_[slot];
-  Address from = std::move(msg.from);
-  Address to = std::move(msg.to);
-  const NodeState* src = msg.src;
-  const NodeState* dst = msg.dst;
+  const Endpoint& from = *msg.from;
+  const Endpoint& to = *msg.to;
   const std::uint64_t dest_incarnation = msg.dest_incarnation;
   util::Bytes payload = std::move(msg.payload);
   free_slots_.push_back(slot);
-  deliver(from, to, *src, *dst, dest_incarnation, std::move(payload));
+  deliver(from, to, dest_incarnation, std::move(payload));
 }
 
-void Network::deliver(const Address& from, const Address& to,
-                      const NodeState& src, const NodeState& dst,
+void Network::deliver(const Endpoint& from, const Endpoint& to,
                       std::uint64_t dest_incarnation, util::Bytes payload) {
-  // src/dst are read at delivery time: crashes, restarts and partitions
-  // that happened while the message was in flight are observed here.
-  // The frame's storage ends its life here on every path — recycle it
-  // (encode() on either side drew it from the same pool).
-  if (!dst.alive || dst.incarnation != dest_incarnation) {
-    ++stats_.messages_dropped;
-    util::BufferPool::instance().release(std::move(payload));
-    return;
-  }
-  if (src.partition != dst.partition) {
-    ++stats_.messages_dropped;
-    util::BufferPool::instance().release(std::move(payload));
-    return;
-  }
-  auto handler_it = handlers_.find(to);
-  if (handler_it == handlers_.end()) {
+  // The nodes and the handler are read at delivery time: crashes,
+  // restarts, partitions and (un)binds that happened while the message
+  // was in flight are observed here. The frame's storage ends its life
+  // here on every path — recycle it (encode() on either side drew it from
+  // the same pool).
+  const Node& src = *from.node_;
+  const Node& dst = *to.node_;
+  Handler* handler = to.handler_.get();
+  if (!dst.alive || dst.incarnation != dest_incarnation ||
+      src.partition != dst.partition || handler == nullptr) {
     ++stats_.messages_dropped;
     util::BufferPool::instance().release(std::move(payload));
     return;
   }
   ++stats_.messages_delivered;
   stats_.bytes_delivered += payload.size();
-  // Pin the handler (it may unbind/rebind itself while running); the
-  // shared_ptr copy is a refcount bump, not a std::function clone.
-  std::shared_ptr<Handler> handler = handler_it->second;
-  (*handler)(from, payload);
+  {
+    // An unbind while the handler runs retires it instead of destroying
+    // it; the outermost delivery frees the retired ones.
+    struct Running {
+      Network& net;
+      explicit Running(Network& n) : net(n) { ++net.delivering_; }
+      ~Running() {
+        if (--net.delivering_ == 0) net.retired_.clear();
+      }
+    } running(*this);
+    (*handler)(from, payload);
+  }
   util::BufferPool::instance().release(std::move(payload));
 }
 
@@ -344,9 +329,20 @@ void Network::multicast(const Address& from, const std::string& group,
   }
 }
 
+void Network::reset_stats() {
+  stats_ = NetStats{};
+  for (auto& [_, node] : nodes_) {
+    for (Pair& path : node.out) path.bytes = 0;
+  }
+}
+
 std::uint64_t Network::bytes_between(const NodeId& a, const NodeId& b) const {
-  auto it = per_pair_bytes_.find({a, b});
-  return it != per_pair_bytes_.end() ? it->second : 0;
+  const Node* src = find_node(a);
+  const Node* dst = find_node(b);
+  if (src == nullptr || dst == nullptr || dst->index >= src->out.size()) {
+    return 0;
+  }
+  return src->out[dst->index].bytes;
 }
 
 }  // namespace maqs::net

@@ -11,7 +11,6 @@
 // same seed and workload reproduce identical timelines.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -19,7 +18,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/address.hpp"
@@ -52,9 +50,37 @@ struct NetStats {
 };
 
 class Network {
+ private:
+  struct Node;
+
  public:
+  class Endpoint;
   using Handler =
-      std::function<void(const Address& from, const util::Bytes& payload)>;
+      std::function<void(const Endpoint& from, const util::Bytes& payload)>;
+
+  /// One (node, port) endpoint: its address, its node and its receive
+  /// handler. Made at bind() or at the first send from or to the address
+  /// and never freed, so a reference stays valid for the network's
+  /// lifetime: a message in flight carries two of them, and a caller that
+  /// keeps one sends without looking its address up again.
+  class Endpoint {
+   public:
+    /// Made only by the network (Node is private to it).
+    Endpoint(Address address, Node& node)
+        : address_(std::move(address)), node_(&node) {}
+    Endpoint(const Endpoint&) = delete;
+    Endpoint& operator=(const Endpoint&) = delete;
+
+    const Address& address() const noexcept { return address_; }
+    /// Lets handlers written against `const Address&` take the record.
+    operator const Address&() const noexcept { return address_; }
+
+   private:
+    friend class Network;
+    Address address_;
+    Node* node_;
+    std::unique_ptr<Handler> handler_;  // null while unbound
+  };
 
   explicit Network(sim::EventLoop& loop, std::uint64_t seed = 42);
   Network(const Network&) = delete;
@@ -75,7 +101,7 @@ class Network {
 
   /// Sets parameters for both directions between a and b.
   void set_link(const NodeId& a, const NodeId& b, const LinkParams& params);
-  const LinkParams& link(const NodeId& from, const NodeId& to) const;
+  LinkParams link(const NodeId& from, const NodeId& to) const;
 
   /// Delay and bandwidth applied to same-host (loopback) traffic.
   void set_loopback_latency(sim::Duration d) { loopback_latency_ = d; }
@@ -99,15 +125,23 @@ class Network {
 
   // ---- endpoints ----
 
-  /// Binds a receive handler; throws std::invalid_argument if the node is
-  /// unknown or the address is already bound.
-  void bind(const Address& addr, Handler handler);
+  /// Binds a receive handler and returns the address's record; throws
+  /// std::invalid_argument if the node is unknown or the address is
+  /// already bound. A handler may unbind or rebind any address, its own
+  /// included, while it runs.
+  const Endpoint& bind(const Address& addr, Handler handler);
   void unbind(const Address& addr);
   bool is_bound(const Address& addr) const;
 
+  /// The record of `addr`, made on first use; throws std::invalid_argument
+  /// if the node is unknown.
+  const Endpoint& endpoint(const Address& addr) { return record(addr); }
+
   /// Sends one message. Delivery is scheduled on the event loop according
   /// to the link model; undeliverable messages are silently dropped (the
-  /// RPC layer above implements timeouts).
+  /// RPC layer above implements timeouts). The destination's handler is
+  /// found when the message arrives, so a rebind in between receives it.
+  void send(const Endpoint& from, const Endpoint& to, util::Bytes payload);
   void send(const Address& from, const Address& to, util::Bytes payload);
 
   // ---- multicast ----
@@ -126,20 +160,31 @@ class Network {
   // ---- accounting ----
 
   const NetStats& stats() const noexcept { return stats_; }
-  void reset_stats() {
-    stats_ = NetStats{};
-    per_pair_bytes_.clear();  // cached counter pointers die with the map
-    invalidate_fast_paths();
-  }
+  void reset_stats();
 
   /// Total payload bytes sent from node a to node b since last reset.
   std::uint64_t bytes_between(const NodeId& a, const NodeId& b) const;
 
  private:
-  struct NodeState {
+  /// State of one directed node pair.
+  struct Pair {
+    std::optional<LinkParams> link;  // set_link(); default_link_ otherwise
+    // Earliest time the link is free (bandwidth serialization).
+    sim::TimePoint busy_until = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  struct Node {
+    explicit Node(std::size_t dense_index) : index(dense_index) {}
+
+    /// Dense, in add_node() order: the column of this node in every
+    /// node's `out`.
+    std::size_t index;
     bool alive = true;
     std::uint64_t incarnation = 0;
     int partition = 0;
+    /// Pairs from this node, by destination index; grown on first use.
+    std::vector<Pair> out;
   };
 
   /// One in-flight message. Parked in a pooled slot so the event-loop
@@ -147,58 +192,37 @@ class Network {
   /// std::function's small-buffer optimization — no heap allocation per
   /// send.
   struct InFlight {
-    Address from;
-    Address to;
-    const NodeState* src = nullptr;  // stable: nodes are never removed
-    const NodeState* dst = nullptr;
+    const Endpoint* from = nullptr;
+    const Endpoint* to = nullptr;
     std::uint64_t dest_incarnation = 0;
     util::Bytes payload;
   };
 
-  /// Resolved lookups for one (from, to) node pair. A request/reply cycle
-  /// alternates between exactly two directions, so a 2-entry cache turns
-  /// the four map probes per send (two node states, link params, per-pair
-  /// byte counter) into one or two short string compares. All cached
-  /// pointers are stable: nodes_ never erases, links_ and per_pair_bytes_
-  /// are node-based maps mutated in place.
-  struct FastPath {
-    NodeId from;
-    NodeId to;
-    NodeState* src = nullptr;
-    NodeState* dst = nullptr;
-    const LinkParams* link = nullptr;  // nullptr for loopback pairs
-    std::uint64_t* pair_bytes = nullptr;
-  };
-
-  const NodeState& node_state(const NodeId& node) const;
-  FastPath& fast_path(const NodeId& from, const NodeId& to);
-  void invalidate_fast_paths() { fast_path_cache_ = {}; }
-  std::size_t park_in_flight(const Address& from, const Address& to,
-                             const NodeState* src, const NodeState* dst,
-                             util::Bytes payload);
+  Node& node_state(const NodeId& node);
+  const Node* find_node(const NodeId& node) const;
+  Endpoint& record(const Address& addr);
+  static Pair& pair_of(Node& from, const Node& to);
   void deliver_slot(std::size_t slot);
-  void deliver(const Address& from, const Address& to, const NodeState& src,
-               const NodeState& dst, std::uint64_t dest_incarnation,
-               util::Bytes payload);
+  void deliver(const Endpoint& from, const Endpoint& to,
+               std::uint64_t dest_incarnation, util::Bytes payload);
 
   sim::EventLoop& loop_;
   util::Rng rng_;
   LinkParams default_link_;
   sim::Duration loopback_latency_ = 10 * sim::kMicrosecond;
-  std::unordered_map<NodeId, NodeState> nodes_;
-  std::map<std::pair<NodeId, NodeId>, LinkParams> links_;
-  // Earliest time each directed pair's link is free (bandwidth serialization).
-  std::map<std::pair<NodeId, NodeId>, sim::TimePoint> busy_until_;
-  // shared_ptr so a delivery pins the handler with a refcount bump instead
-  // of copying the std::function, while unbind-during-delivery stays safe.
-  std::unordered_map<Address, std::shared_ptr<Handler>> handlers_;
+  std::unordered_map<NodeId, Node> nodes_;  // node-based: references stay
+  std::unordered_map<Address, Endpoint> endpoints_;  // likewise
   std::map<std::string, std::vector<Address>> groups_;
-  std::map<std::pair<NodeId, NodeId>, std::uint64_t> per_pair_bytes_;
   std::vector<InFlight> in_flight_;     // slot-indexed; recycled via free list
   std::vector<std::size_t> free_slots_;
-  std::array<FastPath, 2> fast_path_cache_;
-  std::size_t fast_path_next_ = 0;
+  // Deliveries running now (they nest: a handler may pump the loop), and
+  // the handlers unbound meanwhile, kept alive until the outermost one
+  // returns, since any of them may be running further up the stack.
+  int delivering_ = 0;
+  std::vector<std::unique_ptr<Handler>> retired_;
   NetStats stats_;
 };
+
+using Endpoint = Network::Endpoint;
 
 }  // namespace maqs::net

@@ -16,8 +16,7 @@
 //     500 breaker        per-endpoint circuit-breaker fast-fail
 //     --- terminal: one wire attempt (encode, send, pump until reply)
 //
-//   server chain (Orb::handle_request walks it; Orb::dispatch enters at
-//   kServerDispatchEntry):
+//   server chain (Orb::handle_request walks it):
 //     100 trace.server   re-attach the caller's trace context
 //     150 wire.reply     stamp request id, encode, count bytes, send
 //     175 sched          QoS-class scheduler (when armed): classify, admit,
@@ -51,7 +50,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/address.hpp"
+#include "net/network.hpp"
 #include "orb/breaker.hpp"
 #include "orb/exceptions.hpp"
 #include "orb/ior.hpp"
@@ -93,11 +92,6 @@ inline constexpr int kServerQos = 200;
 /// priority is >= this: routing/mediation/trace minting belong to the full
 /// invocation interface, resilience to every plain-path send.
 inline constexpr int kClientPlainEntry = priorities::kClientLocalFault;
-
-/// Orb::dispatch() (the QoS transport's server-side entry) walks only the
-/// interceptors at or above this priority: the wire concerns (trace
-/// re-attach, reply send) belong to handle_request alone.
-inline constexpr int kServerDispatchEntry = priorities::kServerQos;
 
 /// The per-invocation delegate the paper's §3.3 mediator weaving plugs
 /// into the stub: it may answer locally, rewrite the request, redirect the
@@ -225,7 +219,8 @@ struct ClientRequestInfo {
 /// Per-invocation record threaded through the ORB's server chain.
 struct ServerRequestInfo {
   Orb* orb = nullptr;
-  const net::Address* from = nullptr;
+  /// The endpoint the request came from; the reply goes back through it.
+  const net::Endpoint* from = nullptr;
   RequestMessage* request = nullptr;
   ReplyMessage reply;
   /// Set by an interceptor that answered the request itself; stops the
@@ -557,7 +552,7 @@ class WireReplyServerInterceptor final : public ServerInterceptor {
   std::size_t slot_ = 0;
 };
 
-/// 200 (= kServerDispatchEntry): the Fig. 3 server half — commands are
+/// 200: the Fig. 3 server half — commands are
 /// answered by the router (or rejected), QoS-aware service requests get
 /// the router's inbound/outbound transforms, and router/servant Errors
 /// are converted into SYSTEM_EXCEPTION replies for service requests.

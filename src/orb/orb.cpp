@@ -12,7 +12,6 @@ namespace maqs::orb {
 
 Orb::Orb(net::Network& network, net::NodeId node, std::uint16_t port)
     : network_(network),
-      endpoint_{std::move(node), port},
       adapter_(*this),
       trace_ci_(*this),
       route_ci_(*this, stats_),
@@ -20,11 +19,12 @@ Orb::Orb(net::Network& network, net::NodeId node, std::uint16_t port)
       breaker_ci_(*this, stats_),
       wire_si_(*this, stats_),
       qos_si_(*this, stats_) {
-  network_.add_node(endpoint_.node);
-  network_.bind(endpoint_,
-                [this](const net::Address& from, const util::Bytes& data) {
-                  on_frame(from, data);
-                });
+  network_.add_node(node);
+  self_ = &network_.bind(
+      {std::move(node), port},
+      [this](const net::Endpoint& from, const util::Bytes& data) {
+        on_frame(from, data);
+      });
   // The built-in pipeline, at its documented positions (see
   // orb/interceptor.hpp). Every stage is armed-but-idle until the matching
   // facade installs a policy.
@@ -46,10 +46,10 @@ Orb::~Orb() {
   // Cancel outstanding timeout events: they capture `this` and the loop
   // outlives the ORB, so a stale timeout firing after destruction would be
   // a use-after-free.
-  for (const Pending& pending : pending_) {
+  for (const Pending& pending : pending_.entries()) {
     loop().cancel(pending.timeout_event);
   }
-  network_.unbind(endpoint_);
+  network_.unbind(endpoint());
 }
 
 ReplyMessage Orb::invoke(const ObjRef& target, RequestMessage req) {
@@ -142,8 +142,8 @@ void Orb::add_pending(std::uint64_t id, ReplyHandler on_reply,
     pending.profile = profile;
   }
   pending.timeout_event = loop().schedule(timeout, [this, id] {
-    auto it = find_pending(id);
-    if (it == pending_.end()) return;
+    Pending* it = pending_.find(id);
+    if (it == nullptr) return;
     ++stats_.timeouts;
     auto callback = std::move(it->on_reply);
     net::Address failed_dest;
@@ -155,7 +155,7 @@ void Orb::add_pending(std::uint64_t id, ReplyHandler on_reply,
     }
     // The timeout event is firing right now, so there is nothing stale to
     // cancel: remove without touching the event.
-    pop_pending(it);
+    pending_.erase(it);
     // Charge the breaker before the callback runs, so an immediate retry
     // from inside the callback sees the updated circuit state.
     if (charge_breaker) {
@@ -168,30 +168,12 @@ void Orb::add_pending(std::uint64_t id, ReplyHandler on_reply,
     timeout_reply.synthesized_locally = true;
     callback(std::move(timeout_reply));
   });
-  pending_index_[id] = pending_.size();
-  pending_.push_back(std::move(pending));
+  pending_.add(std::move(pending));
 }
 
-std::vector<Orb::Pending>::iterator Orb::find_pending(
-    std::uint64_t id) noexcept {
-  const auto hit = pending_index_.find(id);
-  if (hit == pending_index_.end()) return pending_.end();
-  return pending_.begin() + static_cast<std::ptrdiff_t>(hit->second);
-}
-
-void Orb::pop_pending(std::vector<Pending>::iterator it) {
-  pending_index_.erase(it->id);
-  if (it != pending_.end() - 1) {
-    *it = std::move(pending_.back());
-    pending_index_[it->id] =
-        static_cast<std::size_t>(it - pending_.begin());
-  }
-  pending_.pop_back();
-}
-
-void Orb::erase_pending(std::vector<Pending>::iterator it) {
-  loop().cancel(it->timeout_event);
-  pop_pending(it);
+void Orb::erase_pending(Pending* pending) {
+  loop().cancel(pending->timeout_event);
+  pending_.erase(pending);
 }
 
 std::uint64_t Orb::wire_send(const net::Address& dest,
@@ -205,11 +187,11 @@ std::uint64_t Orb::wire_send(const net::Address& dest,
   util::Bytes wire = req.encode();
   stats_.bytes_marshaled_out += wire.size();
   try {
-    network_.send(endpoint_, dest, std::move(wire));
+    network_.send(*self_, network_.endpoint(dest), std::move(wire));
   } catch (...) {
     // Undeliverable (e.g. unknown node): roll back the pending entry and
     // its timeout instead of leaving a stale event armed.
-    if (auto it = find_pending(id); it != pending_.end()) erase_pending(it);
+    if (Pending* it = pending_.find(id)) erase_pending(it);
     throw;
   }
   return id;
@@ -245,21 +227,19 @@ std::uint64_t Orb::send_multicast_request(const std::string& group,
   util::Bytes wire = req.encode();
   stats_.bytes_marshaled_out += wire.size();
   try {
-    network_.multicast(endpoint_, group, std::move(wire));
+    network_.multicast(endpoint(), group, std::move(wire));
   } catch (...) {
-    if (auto it = find_pending(id); it != pending_.end()) erase_pending(it);
+    if (Pending* it = pending_.find(id)) erase_pending(it);
     throw;
   }
   return id;
 }
 
 void Orb::cancel_request(std::uint64_t request_id) {
-  auto it = find_pending(request_id);
-  if (it == pending_.end()) return;
-  erase_pending(it);
+  if (Pending* it = pending_.find(request_id)) erase_pending(it);
 }
 
-void Orb::on_frame(const net::Address& from, const util::Bytes& data) {
+void Orb::on_frame(const net::Endpoint& from, const util::Bytes& data) {
   try {
     if (is_request_frame(data)) {
       RequestMessage req = RequestMessage::decode(data);
@@ -273,12 +253,12 @@ void Orb::on_frame(const net::Address& from, const util::Bytes& data) {
   } catch (const Error& e) {
     // Garbage frames are dropped; a reliable transport below us means this
     // indicates a peer bug, not line noise.
-    MAQS_WARN() << "orb " << endpoint_.to_string() << ": bad frame from "
-                << from.to_string() << ": " << e.what();
+    MAQS_WARN() << "orb " << endpoint().to_string() << ": bad frame from "
+                << from.address().to_string() << ": " << e.what();
   }
 }
 
-void Orb::handle_request(const net::Address& from, RequestMessage req,
+void Orb::handle_request(const net::Endpoint& from, RequestMessage req,
                          bool resumed) {
   // Full server chain: trace re-attach, wire reply tail, QoS transforms,
   // then the adapter terminal.
@@ -296,25 +276,14 @@ void Orb::handle_request(const net::Address& from, RequestMessage req,
   pool.release(std::move(info.reply.body));
 }
 
-void Orb::resume_request(RequestMessage req, const net::Address& from) {
+void Orb::resume_request(RequestMessage req, const net::Endpoint& from) {
   handle_request(from, std::move(req), /*resumed=*/true);
 }
 
-void Orb::send_reply_frame(const net::Address& to, const ReplyMessage& rep) {
+void Orb::send_reply_frame(const net::Endpoint& to, const ReplyMessage& rep) {
   util::Bytes wire = rep.encode();
   stats_.bytes_marshaled_out += wire.size();
-  network_.send(endpoint_, to, std::move(wire));
-}
-
-ReplyMessage Orb::dispatch(RequestMessage req, const net::Address& from) {
-  // The QoS transport's entry: same chain, minus the wire stages (the
-  // transport owns its own framing and trace spans).
-  ServerRequestInfo info;
-  info.orb = this;
-  info.from = &from;
-  info.request = &req;
-  server_walk(info, server_chain_.first_at_or_above(kServerDispatchEntry));
-  return std::move(info.reply);
+  network_.send(*self_, to, std::move(wire));
 }
 
 void Orb::server_walk(ServerRequestInfo& info, std::size_t index) {
@@ -413,15 +382,15 @@ void Orb::handle_reply(const net::Address& from, ReplyMessage rep) {
   // surplus multicast replies) cannot be attributed to a profile, so every
   // breaker at the endpoint hears the success — a straggler still closes
   // the circuit rather than leaving it needlessly open.
-  auto it = find_pending(rep.request_id);
+  Pending* it = pending_.find(rep.request_id);
   if (breaker_ci_.armed()) {
-    if (it != pending_.end() && !it->multi && !it->dest.node.empty()) {
+    if (it != nullptr && !it->multi && !it->dest.node.empty()) {
       breaker_ci_.on_reply_decoded(from, it->profile);
     } else {
       breaker_ci_.on_reply_decoded_any(from);
     }
   }
-  if (it == pending_.end()) {
+  if (it == nullptr) {
     // Late reply after timeout/cancel, or surplus replies of a multicast
     // request already satisfied: normal, counted for observability.
     ++stats_.replies_orphaned;

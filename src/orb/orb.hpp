@@ -14,8 +14,8 @@
 //
 // Both halves are realized as interceptor chains (orb/interceptor.hpp):
 // invoke()/invoke_plain() walk the client chain (client_walk) down to one
-// terminal wire attempt; handle_request(), resume_request() and dispatch()
-// walk the server chain (server_walk) down to the object adapter, whose
+// terminal wire attempt; handle_request() and resume_request() walk the
+// server chain (server_walk) down to the object adapter, whose
 // servant runs any QoS skeleton weave itself. The ORB itself knows nothing
 // about QoS mechanisms; routing, mediation, tracing, retry and circuit
 // breaking are interceptors, and the RequestRouter extension point
@@ -29,7 +29,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "orb/interceptor.hpp"
 #include "orb/ior.hpp"
 #include "orb/message.hpp"
+#include "orb/pending_table.hpp"
 
 namespace maqs::trace {
 class TraceRecorder;
@@ -98,7 +98,7 @@ class Orb {
   net::Network& network() noexcept { return network_; }
   const net::Network& network() const noexcept { return network_; }
   sim::EventLoop& loop() noexcept { return network_.loop(); }
-  const net::Address& endpoint() const noexcept { return endpoint_; }
+  const net::Address& endpoint() const noexcept { return self_->address(); }
   ObjectAdapter& adapter() noexcept { return adapter_; }
   const OrbStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_ = OrbStats{}; }
@@ -235,12 +235,7 @@ class Orb {
     return loop().run_until(pred);
   }
 
-  // ---- server side (exposed for the QoS transport) ----
-
-  /// Dispatches a service request through the server chain from
-  /// kServerDispatchEntry (router inbound/outbound transforms + adapter),
-  /// skipping the wire stages.
-  ReplyMessage dispatch(RequestMessage req, const net::Address& from);
+  // ---- server side (exposed for schedulers) ----
 
   /// Re-enters the full server chain for a request a scheduling
   /// interceptor parked earlier (see sched::RequestScheduler). The walk
@@ -248,19 +243,19 @@ class Orb {
   /// request through; everything else — trace re-attach, wire reply,
   /// QoS transforms, adapter dispatch — runs exactly as for a fresh
   /// arrival.
-  void resume_request(RequestMessage req, const net::Address& from);
+  void resume_request(RequestMessage req, const net::Endpoint& from);
 
   /// Encodes `rep`, counts the bytes in stats and sends the frame to
-  /// `to`. The wire tail shared by the wire.reply interceptor and by
-  /// schedulers that must answer a parked request (shed/evict) outside
-  /// any chain walk.
-  void send_reply_frame(const net::Address& to, const ReplyMessage& rep);
+  /// `to`, the endpoint the request came from. The wire tail shared by
+  /// the wire.reply interceptor and by schedulers that must answer a
+  /// parked request (shed/evict) outside any chain walk.
+  void send_reply_frame(const net::Endpoint& to, const ReplyMessage& rep);
 
  private:
-  void on_frame(const net::Address& from, const util::Bytes& data);
+  void on_frame(const net::Endpoint& from, const util::Bytes& data);
   /// The full server chain for an arrived request; `resumed` marks one a
   /// scheduling interceptor parked earlier (see resume_request()).
-  void handle_request(const net::Address& from, RequestMessage req,
+  void handle_request(const net::Endpoint& from, RequestMessage req,
                       bool resumed = false);
   void handle_reply(const net::Address& from, ReplyMessage rep);
   /// Recursive onion walk over the server chain from `index`; the level
@@ -299,27 +294,18 @@ class Orb {
   void add_pending(std::uint64_t id, ReplyHandler on_reply,
                    sim::Duration timeout, bool multi, const net::Address& dest,
                    const std::string& profile);
-  std::vector<Pending>::iterator find_pending(std::uint64_t id) noexcept;
-  /// Removes the entry without touching its timeout event. The swap-and-pop
-  /// invariant lives here and only here: the timeout path (whose event is
-  /// already firing and must not be cancelled) and erase_pending share it.
-  void pop_pending(std::vector<Pending>::iterator it);
   /// Erases a pending entry, always cancelling its timeout event first so
-  /// no stale timeout can fire for a completed/cancelled request.
-  void erase_pending(std::vector<Pending>::iterator it);
+  /// no stale timeout can fire for a completed/cancelled request. (The
+  /// timeout path, whose event is already firing, erases directly.)
+  void erase_pending(Pending* pending);
 
   net::Network& network_;
-  net::Address endpoint_;
+  const net::Endpoint* self_ = nullptr;  // bound in the constructor
   ObjectAdapter adapter_;
   RequestRouter* router_ = nullptr;
   trace::TraceRecorder* trace_recorder_ = nullptr;
   std::uint64_t next_request_id_ = 1;
-  // Flat store plus an id -> slot index. The vector keeps entries
-  // contiguous (capacity reuse, cheap teardown iteration); the index keeps
-  // reply matching O(1) — population runs hold thousands of requests in
-  // flight, where the old linear scan went quadratic per reply wave.
-  std::vector<Pending> pending_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_index_;
+  PendingTable<Pending> pending_;
   sim::Duration default_timeout_ = 2 * sim::kSecond;
   OrbStats stats_;
 

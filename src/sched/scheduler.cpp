@@ -165,7 +165,7 @@ void RequestScheduler::receive_request(orb::ServerRequestInfo& info) {
   }
   Parked parked;
   parked.request = std::move(req);
-  parked.from = *info.from;
+  parked.from = info.from;
   queue_.push(cls, now + cs.config.deadline_budget, std::move(parked));
   ++stats_.parked;
   info.parked = true;
@@ -203,7 +203,7 @@ void RequestScheduler::on_drain() {
     begin_service(now);
     ++stats_.dispatched_queued;
     ++stats_.classes[item.cls].dispatched;
-    orb_.resume_request(std::move(item.payload.request), item.payload.from);
+    orb_.resume_request(std::move(item.payload.request), *item.payload.from);
     break;
   }
   if (any_episode_open_) reset_drained_episodes();
@@ -224,7 +224,7 @@ bool RequestScheduler::flush_all() {
     }
     ++stats_.dispatched_queued;
     ++stats_.classes[item.cls].dispatched;
-    orb_.resume_request(std::move(item.payload.request), item.payload.from);
+    orb_.resume_request(std::move(item.payload.request), *item.payload.from);
   }
   if (any_episode_open_) reset_drained_episodes();
   return true;
@@ -257,7 +257,7 @@ void RequestScheduler::shed_parked(Queue::Popped& item, const char* cause) {
       }
     }
   }
-  orb_.send_reply_frame(item.payload.from,
+  orb_.send_reply_frame(*item.payload.from,
                         make_overload_reply(req.request_id, item.cls, cause));
 }
 

@@ -127,9 +127,7 @@ struct SchedStats {
 /// priorities::kServerSched and installs the event-loop drain hook;
 /// destruction undoes both. Commands (the negotiation/adaptation control
 /// plane) always bypass the queues — renegotiation under overload must not
-/// wait behind the very backlog it is meant to relieve. Note that
-/// Orb::dispatch (the QoS transport's collocated entry) enters the chain
-/// above this priority and is likewise never queued.
+/// wait behind the very backlog it is meant to relieve.
 class RequestScheduler final : public orb::ServerInterceptor {
  public:
   RequestScheduler(orb::Orb& orb, SchedulerConfig config);
@@ -171,7 +169,7 @@ class RequestScheduler final : public orb::ServerInterceptor {
 
   struct Parked {
     orb::RequestMessage request;
-    net::Address from;
+    const net::Endpoint* from = nullptr;  // records live as long as the net
   };
   using Queue = WeightedFairQueue<Parked>;
 

@@ -126,5 +126,39 @@ TEST(NestedDecode, GeneratedVectorReadPeakIsAFixedMultipleOfInput) {
   expect_generated_read_bounded<V8>(8);
 }
 
+TEST(NestedDecode, VoidSequencesShareOneAllowancePerDecode) {
+  // sequence<sequence<void>>: 250 inner counts of 1,004 in 1,004 bytes.
+  // Each inner count fits the stream on its own; together they would
+  // decode to 251,000 Anys.
+  constexpr std::uint32_t kInner = 250;
+  Encoder enc;
+  enc.write_u32(kInner);
+  const auto size = static_cast<std::uint32_t>(4 + 4 * kInner);
+  for (std::uint32_t i = 0; i < kInner; ++i) enc.write_u32(size);
+  const util::Bytes stream = enc.take();
+  ASSERT_EQ(stream.size(), size);
+  const TypeCodePtr type =
+      TypeCode::sequence_tc(TypeCode::sequence_tc(TypeCode::void_tc()));
+  const std::size_t peak = peak_during([&] {
+    Decoder dec{util::BytesView(stream)};
+    EXPECT_THROW(Any::decode_value(dec, type), CdrError);
+  });
+  // A zero-octet element costs no input but one Any, and the decode's one
+  // allowance admits one per octet; vector regrowth can double that.
+  constexpr std::size_t kMaxBytesPerVoidOctet =
+      kMaxBytesPerOctet + 2 * sizeof(Any);
+  EXPECT_LE(peak, kMaxBytesPerVoidOctet * stream.size());
+}
+
+TEST(NestedDecode, VoidSequenceEndingTheStreamStillDecodes) {
+  // Typed on the wire: sequence kind, void kind, then a count of 5 with no
+  // element octets after it.
+  const util::Bytes wire = {0x09, 0x00, 0x05, 0x00, 0x00, 0x00};
+  Decoder dec{util::BytesView(wire)};
+  const Any value = Any::decode(dec);
+  EXPECT_TRUE(dec.at_end());
+  EXPECT_EQ(value.as_elements().size(), 5u);
+}
+
 }  // namespace
 }  // namespace maqs::cdr

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "util/bytes.hpp"
 
 namespace maqs::net {
@@ -220,6 +224,172 @@ TEST_F(NetworkTest, MulticastToUnknownGroupIsNoop) {
   net_.multicast({"a", 1}, "nope", to_bytes("x"));
   loop_.run_until_idle();
   EXPECT_EQ(net_.stats().messages_sent, 0u);
+}
+
+// ---- the delivery contract: the destination's handler, the nodes' fault
+// state and the link queues are judged per message and per directed pair.
+
+TEST_F(NetworkTest, InFlightMessageReachesAHandlerReboundBeforeDelivery) {
+  std::vector<std::string> got;
+  net_.bind({"b", 1}, [&](const Address&, const Bytes& payload) {
+    got.push_back("old:" + to_string(payload));
+  });
+  net_.send({"a", 1}, {"b", 1}, to_bytes("m"));
+  net_.unbind({"b", 1});
+  net_.bind({"b", 1}, [&](const Address& from, const Bytes& payload) {
+    EXPECT_EQ(from, (Address{"a", 1}));
+    got.push_back("new:" + to_string(payload));
+  });
+  loop_.run_until_idle();
+  EXPECT_EQ(got, std::vector<std::string>{"new:m"});
+  EXPECT_EQ(net_.stats().messages_delivered, 1u);
+}
+
+TEST_F(NetworkTest, HandlerMayUnbindItselfWhileRunning) {
+  // The capture lives on the heap with the handler: reading it after the
+  // unbind touches freed memory unless the network keeps the running
+  // handler alive (the ASan job checks).
+  const std::string tag(64, 't');
+  std::string seen;
+  net_.bind({"b", 1}, [this, &seen, tag](const Address&, const Bytes& payload) {
+    net_.unbind({"b", 1});
+    seen = tag + to_string(payload);
+  });
+  net_.send({"a", 1}, {"b", 1}, to_bytes("1"));
+  net_.send({"a", 1}, {"b", 1}, to_bytes("2"));
+  loop_.run_until_idle();
+  EXPECT_EQ(seen, tag + "1");
+  EXPECT_FALSE(net_.is_bound({"b", 1}));
+  EXPECT_EQ(net_.stats().messages_delivered, 1u);
+  EXPECT_EQ(net_.stats().messages_dropped, 1u);
+}
+
+TEST_F(NetworkTest, HandlerMayRebindAnotherEndpointWhileThatOneRuns) {
+  // a's handler pumps the loop (as a blocking ORB call does); b's handler,
+  // nested inside it, unbinds and rebinds a. The outer handler then reads
+  // its own heap-held capture, and the next message to a reaches the new
+  // handler.
+  const std::string tag(64, 'a');
+  std::vector<std::string> log;
+  bool rebound = false;
+  net_.bind({"b", 1}, [&](const Address&, const Bytes&) {
+    net_.unbind({"a", 1});
+    net_.bind({"a", 1}, [&](const Address&, const Bytes& payload) {
+      log.push_back("a2:" + to_string(payload));
+    });
+    rebound = true;
+  });
+  net_.bind({"a", 1}, [&, tag](const Address&, const Bytes& payload) {
+    net_.send({"a", 1}, {"b", 1}, to_bytes("poke"));
+    loop_.run_until([&] { return rebound; });
+    log.push_back(tag + ":" + to_string(payload));
+  });
+  net_.send({"c", 1}, {"a", 1}, to_bytes("first"));
+  loop_.run_until_idle();
+  net_.send({"c", 1}, {"a", 1}, to_bytes("second"));
+  loop_.run_until_idle();
+  EXPECT_EQ(log, (std::vector<std::string>{tag + ":first", "a2:second"}));
+}
+
+TEST_F(NetworkTest, RelayCycleKeepsPerPairQueueingAndBytes) {
+  // web (a) -> edge (b) -> server (c) -> edge -> web, two requests sent back
+  // to back: each of the four directed pairs has its own serialization
+  // queue and byte counter.
+  constexpr double kWebEdgeBps = 8000.0;     // 1000 B/s
+  constexpr double kEdgeServerBps = 16000.0;  // 2000 B/s
+  constexpr sim::Duration kWebEdgeLatency = sim::kMillisecond;
+  constexpr sim::Duration kEdgeServerLatency = 2 * sim::kMillisecond;
+  net_.set_link("a", "b", LinkParams{.latency = kWebEdgeLatency,
+                                     .bandwidth_bps = kWebEdgeBps});
+  net_.set_link("b", "c", LinkParams{.latency = kEdgeServerLatency,
+                                     .bandwidth_bps = kEdgeServerBps});
+  auto transmit = [](std::size_t bytes, double bps) {
+    return sim::from_seconds(static_cast<double>(bytes) * 8.0 / bps);
+  };
+
+  std::vector<sim::TimePoint> at_edge_from_web, at_server, at_edge_from_server,
+      at_web;
+  net_.bind({"b", 1}, [&](const Address& from, const Bytes&) {
+    if (from.node == "a") {
+      at_edge_from_web.push_back(loop_.now());
+      net_.send({"b", 1}, {"c", 1}, Bytes(200, 2));
+    } else {
+      at_edge_from_server.push_back(loop_.now());
+      net_.send({"b", 1}, {"a", 1}, Bytes(400, 4));
+    }
+  });
+  net_.bind({"c", 1}, [&](const Address&, const Bytes&) {
+    at_server.push_back(loop_.now());
+    net_.send({"c", 1}, {"b", 1}, Bytes(300, 3));
+  });
+  net_.bind({"a", 1}, [&](const Address&, const Bytes&) {
+    at_web.push_back(loop_.now());
+  });
+  net_.send({"a", 1}, {"b", 1}, Bytes(100, 1));
+  net_.send({"a", 1}, {"b", 1}, Bytes(100, 1));
+  loop_.run_until_idle();
+
+  // Each leg: the message starts when its pair's link is free, then
+  // serializes and propagates.
+  struct Leg {
+    sim::TimePoint free = 0;
+    sim::TimePoint arrive(sim::TimePoint sent, sim::Duration tx,
+                          sim::Duration latency) {
+      const sim::TimePoint start = std::max(sent, free);
+      free = start + tx;
+      return free + latency;
+    }
+  } web_edge, edge_server, server_edge, edge_web;
+  std::vector<sim::TimePoint> want_edge_from_web, want_server,
+      want_edge_from_server, want_web;
+  for (int i = 0; i < 2; ++i) {
+    want_edge_from_web.push_back(web_edge.arrive(
+        0, transmit(100, kWebEdgeBps), kWebEdgeLatency));
+  }
+  for (const sim::TimePoint t : want_edge_from_web) {
+    want_server.push_back(edge_server.arrive(
+        t, transmit(200, kEdgeServerBps), kEdgeServerLatency));
+  }
+  for (const sim::TimePoint t : want_server) {
+    want_edge_from_server.push_back(server_edge.arrive(
+        t, transmit(300, kEdgeServerBps), kEdgeServerLatency));
+  }
+  for (const sim::TimePoint t : want_edge_from_server) {
+    want_web.push_back(
+        edge_web.arrive(t, transmit(400, kWebEdgeBps), kWebEdgeLatency));
+  }
+  EXPECT_EQ(at_edge_from_web, want_edge_from_web);
+  EXPECT_EQ(at_server, want_server);
+  EXPECT_EQ(at_edge_from_server, want_edge_from_server);
+  EXPECT_EQ(at_web, want_web);
+  // The second reply queued behind the first on both return pairs.
+  EXPECT_GT(want_edge_from_server[1] - want_server[1],
+            transmit(300, kEdgeServerBps) + kEdgeServerLatency);
+  EXPECT_GT(want_web[1] - want_edge_from_server[1],
+            transmit(400, kWebEdgeBps) + kWebEdgeLatency);
+
+  EXPECT_EQ(net_.bytes_between("a", "b"), 200u);
+  EXPECT_EQ(net_.bytes_between("b", "c"), 400u);
+  EXPECT_EQ(net_.bytes_between("c", "b"), 600u);
+  EXPECT_EQ(net_.bytes_between("b", "a"), 800u);
+  EXPECT_EQ(net_.bytes_between("a", "c"), 0u);
+  EXPECT_EQ(net_.bytes_between("c", "a"), 0u);
+}
+
+TEST_F(NetworkTest, ResetStatsBetweenSendsZeroesBytesBetween) {
+  net_.bind({"a", 1}, [](const Address&, const Bytes&) {});
+  net_.bind({"b", 1}, [](const Address&, const Bytes&) {});
+  net_.send({"a", 1}, {"b", 1}, Bytes(100, 0));
+  net_.send({"b", 1}, {"a", 1}, Bytes(70, 0));
+  loop_.run_until_idle();
+  net_.reset_stats();
+  EXPECT_EQ(net_.bytes_between("a", "b"), 0u);
+  EXPECT_EQ(net_.bytes_between("b", "a"), 0u);
+  net_.send({"a", 1}, {"b", 1}, Bytes(30, 0));
+  loop_.run_until_idle();
+  EXPECT_EQ(net_.bytes_between("a", "b"), 30u);
+  EXPECT_EQ(net_.bytes_between("b", "a"), 0u);
+  EXPECT_EQ(net_.stats().bytes_sent, 30u);
 }
 
 }  // namespace
