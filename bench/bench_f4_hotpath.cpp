@@ -243,8 +243,8 @@ void run_scenarios(std::vector<Row>& rows) {
 
   {  // plain_replicated: a two-profile reference with the replica
     // selector armed (round-robin). Selection must ride the plain alloc
-    // budget — picking a profile is a slot write plus an endpoint
-    // redirect, never a reference copy on the non-QoS path.
+    // budget — picking a profile is a slot write plus a move of the
+    // call's destination pointer, never a reference copy.
     World world;
     make_fast(world);
     orb::Orb server2{world.network, "server2", 9000};

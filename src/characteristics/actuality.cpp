@@ -81,8 +81,7 @@ std::string ActualityMediator::cache_key(const orb::RequestMessage& req) {
 }
 
 std::optional<orb::ReplyMessage> ActualityMediator::try_local(
-    const orb::RequestMessage& req, const orb::ObjRef& target) {
-  (void)target;
+    const orb::RequestMessage& req) {
   if (!cacheable(req.operation)) return std::nullopt;
   auto it = cache_.find(cache_key(req));
   if (it == cache_.end()) {

@@ -45,7 +45,7 @@ class ActualityMediator final : public core::Mediator {
 
   void bind_agreement(const core::Agreement& agreement) override;
   std::optional<orb::ReplyMessage> try_local(
-      const orb::RequestMessage& req, const orb::ObjRef& target) override;
+      const orb::RequestMessage& req) override;
   void inbound(const orb::RequestMessage& req,
                orb::ReplyMessage& rep) override;
   cdr::Any qos_operation(const std::string& op,

@@ -28,15 +28,9 @@ void LoadBalancingMediator::bind_agreement(
     const core::Agreement& agreement) {
   core::Mediator::bind_agreement(agreement);
   const std::string group_ior = agreement.string_param("replicas");
-  group_ = group_ior.empty() ? orb::ObjRef{}
-                             : orb::ObjRef::from_string(group_ior);
-}
-
-void LoadBalancingMediator::outbound(orb::RequestMessage& req,
-                                     orb::ObjRef& target) {
-  (void)req;
-  // The replica.select stage below picks the group's profile per call.
-  if (!group_.is_nil()) target = group_;
+  auto group = std::make_shared<const orb::ObjRef>(
+      group_ior.empty() ? orb::ObjRef{} : orb::ObjRef::from_string(group_ior));
+  group_ = group->is_nil() ? nullptr : std::move(group);
 }
 
 // ---- server impl ----

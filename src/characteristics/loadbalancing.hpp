@@ -5,10 +5,11 @@
 // feasible purely at the application layer, §4), bound onto the ORB's one
 // replica picker. The agreement names the replica group as one stringified
 // multi-profile IOR — the form ReplicaGroup::group_reference() and
-// directory lookups emit. The mediator re-targets every intercepted call
-// at that group; the client ORB's naming::ReplicaSelector (chain
-// priorities 250/375) then picks a profile per call, skips open-breaker
-// and quarantined ones, and fails over.
+// directory lookups emit. The mediator names that group as the target of
+// every intercepted call (ClientDelegate::target; the call holds it, no
+// copy is made); the client ORB's naming::ReplicaSelector (chain
+// priorities 250/375) then points the call at one profile's endpoint
+// inside it, skips open-breaker and quarantined ones, and fails over.
 //
 // The client ORB must run one ReplicaSelector, installed like a
 // RetryGovernor; otherwise calls go to the group's primary. The policy
@@ -37,11 +38,15 @@ class LoadBalancingMediator final : public core::Mediator {
   LoadBalancingMediator();
 
   void bind_agreement(const core::Agreement& agreement) override;
-  void outbound(orb::RequestMessage& req, orb::ObjRef& target) override;
+  std::shared_ptr<const orb::ObjRef> target() const override {
+    return group_;
+  }
 
  private:
-  /// The agreed replica group; nil keeps the stub's own target.
-  orb::ObjRef group_;
+  /// The agreed replica group; null keeps the stub's own target. A rebind
+  /// replaces the pointer, so calls in flight keep the group they started
+  /// with.
+  std::shared_ptr<const orb::ObjRef> group_;
 };
 
 /// Server side: load measurement in the prolog/epilog bracket.

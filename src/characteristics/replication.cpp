@@ -65,7 +65,7 @@ cdr::Any ReplicationModule::command(const std::string& op,
 }
 
 orb::ReplyMessage ReplicationModule::invoke(orb::RequestMessage req,
-                                            const orb::ObjRef& /*target*/) {
+                                            const net::Address& /*dest*/) {
   if (group_.empty()) {
     throw core::QosError("replication: module not configured with a group");
   }

@@ -41,7 +41,7 @@ class ReplicationModule final : public core::QosModule {
   ReplicationModule();
 
   orb::ReplyMessage invoke(orb::RequestMessage req,
-                           const orb::ObjRef& target) override;
+                           const net::Address& dest) override;
 
   /// Commands: configure(group, mode, quorum); info().
   cdr::Any command(const std::string& op,

@@ -16,15 +16,22 @@ void CompositeMediator::add(std::shared_ptr<Mediator> mediator) {
 }
 
 std::optional<orb::ReplyMessage> CompositeMediator::try_local(
-    const orb::RequestMessage& req, const orb::ObjRef& target) {
+    const orb::RequestMessage& req) {
   for (const auto& mediator : delegates_.members()) {
-    if (auto reply = mediator->try_local(req, target)) return reply;
+    if (auto reply = mediator->try_local(req)) return reply;
   }
   return std::nullopt;
 }
 
-void CompositeMediator::outbound(orb::RequestMessage& req,
-                                 orb::ObjRef& target) {
+std::shared_ptr<const orb::ObjRef> CompositeMediator::target() const {
+  std::shared_ptr<const orb::ObjRef> named;
+  for (const auto& mediator : delegates_.members()) {
+    if (auto ref = mediator->target()) named = std::move(ref);
+  }
+  return named;
+}
+
+void CompositeMediator::outbound(orb::RequestMessage& req) {
   // Hooks first, in installation order, so each sees the payload as the
   // stub marshaled it; then one fused run applies every member's stage.
   // One span per characteristic either way: the chain emits it for stage
@@ -34,7 +41,7 @@ void CompositeMediator::outbound(orb::RequestMessage& req,
     if (mediator->streaming_transform() == nullptr) {
       span.emplace("mediator.outbound", mediator->characteristic());
     }
-    mediator->outbound(req, target);
+    mediator->outbound(req);
   }
   delegates_.fused().run_forward(req.body, {req.request_id, false});
 }

@@ -63,8 +63,10 @@ class CompositeMediator : public orb::ClientDelegate {
   std::size_t size() const noexcept { return delegates_.size(); }
 
   std::optional<orb::ReplyMessage> try_local(
-      const orb::RequestMessage& req, const orb::ObjRef& target) override;
-  void outbound(orb::RequestMessage& req, orb::ObjRef& target) override;
+      const orb::RequestMessage& req) override;
+  /// The last member that names a reference wins.
+  std::shared_ptr<const orb::ObjRef> target() const override;
+  void outbound(orb::RequestMessage& req) override;
   void inbound(const orb::RequestMessage& req,
                orb::ReplyMessage& rep) override;
   /// True iff any delegate in the chain needs it: the retained request is

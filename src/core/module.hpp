@@ -67,11 +67,12 @@ class QosModule {
 
   // ---- request path ----
 
-  /// Client side: deliver the request, produce the reply. The default
-  /// applies transform_request, sends over the plain path and applies
+  /// Client side: deliver the request to `dest`, the endpoint of the
+  /// profile it addresses, and produce the reply. The default applies
+  /// transform_request, sends over the plain path and applies
   /// restore_reply on the way back.
   virtual orb::ReplyMessage invoke(orb::RequestMessage req,
-                                   const orb::ObjRef& target);
+                                   const net::Address& dest);
 
   /// Client outbound payload rewrite.
   virtual void transform_request(orb::RequestMessage& req) { (void)req; }

@@ -10,11 +10,10 @@ namespace maqs::core {
 // ---- QosModule defaults ----
 
 orb::ReplyMessage QosModule::invoke(orb::RequestMessage req,
-                                    const orb::ObjRef& target) {
+                                    const net::Address& dest) {
   req.context[kModuleContextKey] = util::to_bytes(name_);
   transform_request(req);
-  orb::ReplyMessage rep =
-      context().orb().invoke_plain(target.endpoint, std::move(req));
+  orb::ReplyMessage rep = context().orb().invoke_plain(dest, std::move(req));
   restore_reply(rep);
   return rep;
 }
@@ -213,24 +212,24 @@ std::optional<std::string> QosTransport::assignment(
   return it->second;
 }
 
-orb::ReplyMessage QosTransport::route(const orb::ObjRef& target,
+orb::ReplyMessage QosTransport::route(const net::Address& dest,
                                       orb::RequestMessage req) {
-  auto it = assignments_.find(target.object_key);
+  auto it = assignments_.find(req.object_key);
   if (it != assignments_.end()) {
-    if (degradation_.has_value() && quarantined_now(target.object_key)) {
+    if (degradation_.has_value() && quarantined_now(req.object_key)) {
       // Graceful degradation: the assigned mechanism keeps failing, so
       // traffic takes the plain path until the quarantine lifts (or the
       // adaptation engine renegotiates the agreement).
       ++stats_.requests_degraded;
       trace::SpanScope span("transport.degraded", it->second);
-      return orb_.invoke_plain(target.endpoint, std::move(req));
+      return orb_.invoke_plain(dest, std::move(req));
     }
     QosModule* module = find_module(it->second);
     if (module != nullptr) {
       if (!degradation_.has_value()) {
         ++stats_.requests_via_module;
         trace::SpanScope span("transport.module", it->second);
-        return module->invoke(std::move(req), target);
+        return module->invoke(std::move(req), dest);
       }
       // Failure tracking needs the pristine request for the plain-path
       // fallback: the module may have partially transformed (or consumed)
@@ -240,16 +239,16 @@ orb::ReplyMessage QosTransport::route(const orb::ObjRef& target,
       orb::RequestMessage pristine = req;
       try {
         trace::SpanScope span("transport.module", it->second);
-        orb::ReplyMessage rep = module->invoke(std::move(req), target);
-        health_.erase(target.object_key);
+        orb::ReplyMessage rep = module->invoke(std::move(req), dest);
+        health_.erase(pristine.object_key);
         ++stats_.requests_via_module;
         return rep;
       } catch (const Error& e) {
         trace::note_error(e.what());
-        on_module_failure(target.object_key, it->second, e.what());
+        on_module_failure(pristine.object_key, it->second, e.what());
         ++stats_.requests_degraded;
         trace::SpanScope fallback("transport.degraded", it->second);
-        return orb_.invoke_plain(target.endpoint, std::move(pristine));
+        return orb_.invoke_plain(dest, std::move(pristine));
       }
     }
     // An *assigned* module missing from the table is a broken binding —
@@ -258,17 +257,17 @@ orb::ReplyMessage QosTransport::route(const orb::ObjRef& target,
     ++stats_.requests_module_missing;
     MAQS_WARN() << "qos-transport " << orb_.endpoint().to_string()
                 << ": assigned module '" << it->second << "' for "
-                << target.object_key
+                << req.object_key
                 << " is not loaded; routing plain";
     trace::SpanScope span("transport.plain", it->second);
-    return orb_.invoke_plain(target.endpoint, std::move(req));
+    return orb_.invoke_plain(dest, std::move(req));
   }
   // "If a QoS module is not assigned to a client server relationship the
   // GIOP/IIOP module is used" — the bootstrap path for negotiation and
   // QoS-to-QoS traffic.
   ++stats_.requests_fallback_plain;
   trace::SpanScope span("transport.plain");
-  return orb_.invoke_plain(target.endpoint, std::move(req));
+  return orb_.invoke_plain(dest, std::move(req));
 }
 
 void QosTransport::set_degradation(std::optional<DegradationConfig> config) {

@@ -98,7 +98,8 @@ class QosTransport final : public orb::RequestRouter {
   std::optional<std::string> assignment(const std::string& object_key) const;
 
   // ---- orb::RequestRouter (Fig. 3) ----
-  orb::ReplyMessage route(const orb::ObjRef& target,
+  /// Finds the module by the assignment of req.object_key.
+  orb::ReplyMessage route(const net::Address& dest,
                           orb::RequestMessage req) override;
   std::optional<orb::ReplyMessage> inbound(
       orb::RequestMessage& req, const net::Address& from) override;

@@ -127,7 +127,6 @@ struct Driver {
   /// Client half of the weaving, run per woven request (the encryption
   /// nonce is bound to the request id, so bodies cannot be pre-sealed).
   core::CompositeMediator* mediator = nullptr;
-  orb::ObjRef woven_ref;
   /// Ids are assigned here (never left 0) so the woven transform can seal
   /// against the id the wire will actually carry.
   std::uint64_t next_request_id = 1;
@@ -153,7 +152,7 @@ struct Driver {
     orb::RequestMessage req = templates[tenant][static_cast<std::size_t>(op)];
     req.request_id = next_request_id++;
     if (op == OpKind::kWovenBlob) {
-      mediator->outbound(req, woven_ref);
+      mediator->outbound(req);
     }
     if (recorder != nullptr) {
       // The async send path bypasses the client interceptor chain, so the
@@ -251,8 +250,8 @@ ShardResult run_shard(const ShardConfig& config) {
   compression.characteristic = characteristics::compression_name();
   orb::QosProfile encryption;
   encryption.characteristic = characteristics::encryption_name();
-  orb::ObjRef ref = server.adapter().activate(kWovenKey, woven_servant,
-                                              {compression, encryption});
+  server.adapter().activate(kWovenKey, woven_servant,
+                            {compression, encryption});
   auto plain_servant = std::make_shared<LoadPlainServant>();
   server.adapter().activate(kPlainKey, plain_servant);
 
@@ -308,7 +307,6 @@ ShardResult run_shard(const ShardConfig& config) {
   }
 
   driver.mediator = mediator.get();
-  driver.woven_ref = ref;
 
   // ---- request templates: one per (tenant, op) ----
   // Plain bodies are final; the woven blob template stays *unsealed* here

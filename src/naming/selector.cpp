@@ -22,6 +22,21 @@ std::uint64_t slot_pack(std::uint32_t mask, std::size_t index) noexcept {
          (static_cast<std::uint64_t>(index & 0xffu) << 32);
 }
 
+/// Profile `i` of `group` (see ObjRef::profile), in place.
+const net::Address& profile_endpoint(const orb::ObjRef& group,
+                                     std::size_t i) {
+  return i == 0 ? group.endpoint : group.alternates[i - 1].endpoint;
+}
+const std::string& profile_key(const orb::ObjRef& group, std::size_t i) {
+  return i == 0 ? group.object_key : group.alternates[i - 1].object_key;
+}
+
+/// The group a call addresses, or nullptr when its target has one profile.
+const orb::ObjRef* addressed_group(const orb::ClientRequestInfo& info) {
+  return info.target != nullptr && info.target->multi_profile() ? info.target
+                                                                : nullptr;
+}
+
 }  // namespace
 
 ReplicaSelector::ReplicaSelector(orb::Orb& orb, SelectorConfig config)
@@ -81,8 +96,8 @@ bool ReplicaSelector::blocked(const orb::ObjRef& group,
                               const GroupState& state,
                               std::size_t idx) const {
   if (state.quarantine_until[idx] > orb_.loop().now()) return true;
-  const orb::AltProfile profile = group.profile(idx);
-  return orb_.breaker_state(profile.endpoint, profile.object_key) ==
+  return orb_.breaker_state(profile_endpoint(group, idx),
+                            profile_key(group, idx)) ==
          orb::BreakerState::kOpen;
 }
 
@@ -132,7 +147,7 @@ std::size_t ReplicaSelector::pick(const orb::ObjRef& group, GroupState& state,
             ++stats_.skips;
             continue;
           }
-          if (group.profile(idx).endpoint.node == here) {
+          if (profile_endpoint(group, idx).node == here) {
             best = idx;
             break;
           }
@@ -155,20 +170,10 @@ std::size_t ReplicaSelector::pick(const orb::ObjRef& group, GroupState& state,
 void ReplicaSelector::apply(orb::ClientRequestInfo& info,
                             const orb::ObjRef& group, GroupState& state,
                             std::size_t idx) {
-  const orb::AltProfile profile = group.profile(idx);
-  if (group.qos_aware()) {
-    // The router addresses the ObjRef itself, so materialize a copy of the
-    // group reference pointing at the chosen profile.
-    info.selected = group;
-    info.selected->endpoint = profile.endpoint;
-    info.selected->object_key = profile.object_key;
-    info.target = &*info.selected;
-  } else {
-    // Plain path: redirect only the wire destination — no ObjRef copy on
-    // the hot path.
-    info.replica_dest = profile.endpoint;
-  }
-  info.request.object_key = profile.object_key;
+  // The group reference outlives the call (the stub's, or held by the
+  // record when a mediator named it): point into it, copy nothing.
+  info.dest = &profile_endpoint(group, idx);
+  info.request.object_key = profile_key(group, idx);
   ++state.dispatched[idx];
   const std::uint64_t prev = info.slots.get(slot_);
   info.slots.set(slot_,
@@ -176,34 +181,30 @@ void ReplicaSelector::apply(orb::ClientRequestInfo& info,
 }
 
 orb::SendAction ReplicaSelector::on_send(orb::ClientRequestInfo& info) {
-  if (info.target == nullptr || !info.target->multi_profile()) {
-    return orb::SendAction::kContinue;
-  }
-  // A mediator-level re-drive walks through here again: keep the original
-  // group (info.target may already point at the materialized selection).
-  if (info.replica_group == nullptr) info.replica_group = info.target;
-  const orb::ObjRef& group = *info.replica_group;
-  GroupState& state = group_state(group);
+  const orb::ObjRef* group = addressed_group(info);
+  if (group == nullptr) return orb::SendAction::kContinue;
+  GroupState& state = group_state(*group);
   const std::size_t idx =
-      pick(group, state, slot_mask(info.slots.get(slot_)));
+      pick(*group, state, slot_mask(info.slots.get(slot_)));
   if (idx == kMaxProfiles) {
     // Nothing untried left (re-driven walk); surface whatever comes back.
     return orb::SendAction::kContinue;
   }
-  apply(info, group, state, idx);
+  apply(info, *group, state, idx);
   ++stats_.selections;
   if (trace::tracing_active()) {
     trace::point("replica.select",
-                 "group=" + group.object_key +
+                 "group=" + group->object_key +
                      " idx=" + std::to_string(idx) +
-                     " dest=" + info.wire_dest().to_string() + "/" +
+                     " dest=" + info.dest->to_string() + "/" +
                      info.request.object_key);
   }
   return orb::SendAction::kContinue;
 }
 
 orb::ReplyAction ReplicaSelector::on_reply(orb::ClientRequestInfo& info) {
-  if (info.replica_group == nullptr) return orb::ReplyAction::kContinue;
+  const orb::ObjRef* group = addressed_group(info);
+  if (group == nullptr) return orb::ReplyAction::kContinue;
   const orb::ReplyMessage& rep = info.reply;
   if (!rep.synthesized_locally ||
       rep.status != orb::ReplyStatus::kSystemException) {
@@ -216,20 +217,19 @@ orb::ReplyAction ReplicaSelector::on_reply(orb::ClientRequestInfo& info) {
       (config_.failover_on_timeout && rep.exception == "maqs/TIMEOUT");
   if (!eligible) return orb::ReplyAction::kContinue;
 
-  const orb::ObjRef& group = *info.replica_group;
-  GroupState& state = group_state(group);
+  GroupState& state = group_state(*group);
   const std::uint64_t slot = info.slots.get(slot_);
   const std::size_t failed = slot_index(slot);
   if (failed < state.quarantine_until.size()) {
     state.quarantine_until[failed] =
         orb_.loop().now() + config_.quarantine_period;
   }
-  const std::size_t next = pick(group, state, slot_mask(slot));
+  const std::size_t next = pick(*group, state, slot_mask(slot));
   if (next == kMaxProfiles) {
     ++stats_.exhausted;
     return orb::ReplyAction::kContinue;
   }
-  apply(info, group, state, next);
+  apply(info, *group, state, next);
   // Fresh id (a straggler for the failed attempt must never satisfy the
   // re-targeted one) and a fresh per-replica retry budget.
   info.request.request_id = orb_.next_request_id();
@@ -237,10 +237,10 @@ orb::ReplyAction ReplicaSelector::on_reply(orb::ClientRequestInfo& info) {
   ++stats_.failovers;
   if (trace::tracing_active()) {
     trace::point("replica.failover",
-                 "group=" + group.object_key + " failed_idx=" +
+                 "group=" + group->object_key + " failed_idx=" +
                      std::to_string(failed) + " next_idx=" +
                      std::to_string(next) + " dest=" +
-                     info.wire_dest().to_string() + "/" +
+                     info.dest->to_string() + "/" +
                      info.request.object_key + " " + rep.exception);
   }
   return orb::ReplyAction::kRetry;

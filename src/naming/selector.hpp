@@ -1,10 +1,13 @@
 // Client-side replica selection and transparent failover.
 //
 // A multi-profile ObjRef (directory lookup result, replication group
-// reference, or the group a LoadBalancing agreement re-targets calls at)
+// reference, or the group a LoadBalancing mediator names as the target)
 // names a replica group; the ReplicaSelector decides, per invocation, which
-// profile the wire attempt addresses. Two thin client interceptors realize
-// it:
+// profile the call addresses. It points the call's one destination
+// (ClientRequestInfo::dest) at that profile's endpoint inside the group
+// and sets the request's object key; nothing is copied, and for a
+// QoS-aware group the QoS router is handed the same endpoint. Two thin
+// client interceptors realize it:
 //
 //   250 replica.select    pick a profile before the qos.route fork
 //   375 replica.failover  on a locally synthesized fault, re-drive the

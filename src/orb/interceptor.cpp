@@ -52,7 +52,7 @@ SendAction TraceClientInterceptor::send_request(ClientRequestInfo& info) {
 SendAction MediatorClientInterceptor::send_request(ClientRequestInfo& info) {
   ClientDelegate* mediator = info.mediator;
   if (mediator == nullptr) return SendAction::kContinue;
-  if (auto local = mediator->try_local(info.request, *info.target)) {
+  if (auto local = mediator->try_local(info.request)) {
     // Local answer: inbound() is not consulted (completing from
     // send_request skips this level's own receive_reply).
     info.reply = *std::move(local);
@@ -73,18 +73,20 @@ SendAction MediatorClientInterceptor::send_request(ClientRequestInfo& info) {
     info.retained.target_module = info.request.target_module;
     info.retained.operation = info.request.operation;
   }
-  // The delegate may redirect (load balancing); give it a mutable copy of
-  // the target and let the levels below address the redirected one.
-  info.redirect.emplace(*info.target);
-  mediator->outbound(info.request, *info.redirect);
-  info.target = &*info.redirect;
-  // A redirected target addresses its own object key.
-  info.request.object_key = info.target->object_key;
+  // A delegate that names another reference (load balancing's group)
+  // re-targets the levels below; the record holds the reference until the
+  // call completes.
+  if ((info.named_target = mediator->target())) {
+    info.target = info.named_target.get();
+    info.dest = &info.target->endpoint;
+    info.request.object_key = info.target->object_key;
+  }
+  mediator->outbound(info.request);
   return SendAction::kContinue;
 }
 
 ReplyAction MediatorClientInterceptor::receive_reply(ClientRequestInfo& info) {
-  if (info.mediator != nullptr && info.redirect.has_value()) {
+  if (info.mediator != nullptr) {
     info.mediator->inbound(info.retained, info.reply);
   }
   return ReplyAction::kContinue;
@@ -97,7 +99,7 @@ SendAction RouteClientInterceptor::send_request(ClientRequestInfo& info) {
   if (info.target->qos_aware() && router != nullptr) {
     ++stats_.qos_path;
     info.request.qos_aware = true;
-    info.reply = router->route(*info.target, std::move(info.request));
+    info.reply = router->route(*info.dest, std::move(info.request));
     return SendAction::kComplete;
   }
   ++stats_.plain_path;
@@ -132,7 +134,7 @@ ReplyAction RetryClientInterceptor::receive_reply(ClientRequestInfo& info) {
     return ReplyAction::kContinue;
   }
   const std::optional<sim::Duration> backoff = advisor_->on_attempt_failed(
-      info.wire_dest(), info.request, info.reply, info.attempt,
+      *info.dest, info.request, info.reply, info.attempt,
       orb_.loop().now() - info.started);
   if (!backoff.has_value()) return ReplyAction::kContinue;
   ++stats_.requests_retried;
@@ -179,6 +181,8 @@ void AttemptTraceClientInterceptor::receive_exception(
 // ---- breaker (500) ----
 
 SendAction BreakerClientInterceptor::send_request(ClientRequestInfo& info) {
+  // An earlier attempt's circuit dies with a config change.
+  info.circuit = nullptr;
   if (!config_.has_value()) return SendAction::kContinue;
   // The id is normally assigned by the stub; plain-entry callers (e.g.
   // negotiation commands) may leave it 0, in which case the wire would
@@ -187,8 +191,9 @@ SendAction BreakerClientInterceptor::send_request(ClientRequestInfo& info) {
     info.request.request_id = orb_.next_request_id();
   }
   ReplyMessage fast;
-  if (!admit(info.wire_dest(), info.request.object_key,
-             info.request.request_id, fast)) {
+  info.circuit = admit(*info.dest, info.request.object_key,
+                       info.request.request_id, fast);
+  if (info.circuit == nullptr) {
     info.reply = std::move(fast);
     return SendAction::kComplete;
   }
@@ -218,67 +223,10 @@ std::optional<BreakerState> BreakerClientInterceptor::state(
   return it->second.state();
 }
 
-bool BreakerClientInterceptor::admit(const net::Address& dest,
-                                     std::string_view profile,
-                                     std::uint64_t request_id,
-                                     ReplyMessage& fast) {
-  CircuitBreaker& breaker = breaker_for(dest, profile);
-  const BreakerState before = breaker.state();
-  const bool admitted = breaker.allow(orb_.loop().now());
-  if (breaker.state() != before) {
-    note_transition(dest, profile, before, breaker.state());
-  }
-  if (admitted) return true;
-  // Fail fast: the synthesized rejection is delivered inline instead of
-  // arming a doomed timeout.
-  ++stats_.breaker_fast_fails;
-  fast.request_id = request_id;
-  fast.status = ReplyStatus::kSystemException;
-  fast.exception = "maqs/CIRCUIT_OPEN";
-  fast.synthesized_locally = true;
-  return false;
-}
-
-void BreakerClientInterceptor::on_reply_decoded(const net::Address& from,
-                                                std::string_view profile) {
-  if (!config_.has_value()) return;
-  // find, never create: a success for a profile no breaker tracks is not
-  // worth a map entry.
-  auto it = breakers_.find(
-      std::pair<const net::Address&, std::string_view>(from, profile));
-  if (it == breakers_.end()) return;
-  const BreakerState before = it->second.state();
-  it->second.record_success();
-  if (it->second.state() != before) {
-    note_transition(from, profile, before, it->second.state());
-  }
-}
-
-void BreakerClientInterceptor::on_reply_decoded_any(const net::Address& from) {
-  if (!config_.has_value()) return;
-  for (auto& [key, breaker] : breakers_) {
-    if (key.first != from) continue;
-    const BreakerState before = breaker.state();
-    breaker.record_success();
-    if (breaker.state() != before) {
-      note_transition(from, key.second, before, breaker.state());
-    }
-  }
-}
-
-void BreakerClientInterceptor::on_transport_failure(const net::Address& dest,
-                                                    std::string_view profile) {
-  if (!config_.has_value()) return;
-  CircuitBreaker& breaker = breaker_for(dest, profile);
-  const BreakerState before = breaker.state();
-  breaker.record_failure(orb_.loop().now());
-  if (breaker.state() != before) {
-    note_transition(dest, profile, before, breaker.state());
-  }
-}
-
-CircuitBreaker& BreakerClientInterceptor::breaker_for(
-    const net::Address& dest, std::string_view profile) {
+Circuit* BreakerClientInterceptor::admit(const net::Address& dest,
+                                         std::string_view profile,
+                                         std::uint64_t request_id,
+                                         ReplyMessage& fast) {
   auto it = breakers_.find(
       std::pair<const net::Address&, std::string_view>(dest, profile));
   if (it == breakers_.end()) {
@@ -287,11 +235,47 @@ CircuitBreaker& BreakerClientInterceptor::breaker_for(
                       CircuitBreaker(*config_))
              .first;
   }
-  return it->second;
+  CircuitBreaker& breaker = it->second;
+  const BreakerState before = breaker.state();
+  const bool admitted = breaker.allow(orb_.loop().now());
+  if (breaker.state() != before) {
+    note_transition(it->first, before, breaker.state());
+  }
+  if (admitted) return &*it;
+  // Fail fast: the synthesized rejection is delivered inline instead of
+  // arming a doomed timeout.
+  ++stats_.breaker_fast_fails;
+  fast.request_id = request_id;
+  fast.status = ReplyStatus::kSystemException;
+  fast.exception = "maqs/CIRCUIT_OPEN";
+  fast.synthesized_locally = true;
+  return nullptr;
 }
 
-void BreakerClientInterceptor::note_transition(const net::Address& endpoint,
-                                               std::string_view profile,
+void BreakerClientInterceptor::on_reply_decoded(Circuit& circuit) {
+  const BreakerState before = circuit.second.state();
+  circuit.second.record_success();
+  if (circuit.second.state() != before) {
+    note_transition(circuit.first, before, circuit.second.state());
+  }
+}
+
+void BreakerClientInterceptor::on_reply_decoded_any(const net::Address& from) {
+  if (!config_.has_value()) return;
+  for (Circuit& circuit : breakers_) {
+    if (circuit.first.first == from) on_reply_decoded(circuit);
+  }
+}
+
+void BreakerClientInterceptor::on_transport_failure(Circuit& circuit) {
+  const BreakerState before = circuit.second.state();
+  circuit.second.record_failure(orb_.loop().now());
+  if (circuit.second.state() != before) {
+    note_transition(circuit.first, before, circuit.second.state());
+  }
+}
+
+void BreakerClientInterceptor::note_transition(const BreakerKey& key,
                                                BreakerState from,
                                                BreakerState to) {
   switch (to) {
@@ -299,12 +283,13 @@ void BreakerClientInterceptor::note_transition(const net::Address& endpoint,
     case BreakerState::kHalfOpen: ++stats_.breaker_half_opens; break;
     case BreakerState::kClosed: ++stats_.breaker_closes; break;
   }
+  const auto& [endpoint, profile] = key;
   MAQS_INFO() << "orb " << orb_.endpoint().to_string() << ": circuit to "
               << endpoint.to_string() << "/" << profile << " "
               << breaker_state_name(from) << " -> " << breaker_state_name(to);
   if (trace::tracing_active()) {
     trace::point("breaker.transition",
-                 endpoint.to_string() + "/" + std::string(profile) + " " +
+                 endpoint.to_string() + "/" + profile + " " +
                      breaker_state_name(from) + "->" +
                      breaker_state_name(to));
   }

@@ -7,7 +7,7 @@
 //
 //   client chain (Orb::invoke / invoke_plain walk it top-down):
 //     100 trace.client   mint root span + "qos.trace" wire entry
-//     200 mediator       try_local / outbound / inbound delegation
+//     200 mediator       try_local / target / outbound / inbound delegation
 //     300 qos.route      Fig. 3 "with QoS?" fork to the RequestRouter
 //     350 local_fault    synthesized-fault -> TransportError contract
 //         ^-- invoke_plain enters the chain here (kClientPlainEntry)
@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -69,8 +70,8 @@ namespace priorities {
 inline constexpr int kClientTrace = 100;
 inline constexpr int kClientMediator = 200;
 /// Replica selection (naming::ReplicaSelector) sits between the mediator
-/// and the QoS fork: a redirected target must be chosen before qos.route
-/// decides between the QoS transport and the plain path.
+/// and the QoS fork: the profile a call addresses, also inside a group the
+/// mediator named, is chosen before qos.route hands the endpoint on.
 inline constexpr int kClientReplicaSelect = 250;
 inline constexpr int kClientRoute = 300;
 inline constexpr int kClientLocalFault = 350;
@@ -94,28 +95,28 @@ inline constexpr int kServerQos = 200;
 inline constexpr int kClientPlainEntry = priorities::kClientLocalFault;
 
 /// The per-invocation delegate the paper's §3.3 mediator weaving plugs
-/// into the stub: it may answer locally, rewrite the request, redirect the
-/// target and observe the reply. Consumed by the mediator client
-/// interceptor; maqs::core::Mediator derives from it.
+/// into the stub: it may answer locally, rewrite the request, name the
+/// reference the call addresses and observe the reply. Consumed by the
+/// mediator client interceptor; maqs::core::Mediator derives from it.
 class ClientDelegate {
  public:
   virtual ~ClientDelegate() = default;
 
   /// May answer the request locally (e.g. from a cache), bypassing the
   /// network entirely. Default: no local answer.
-  virtual std::optional<ReplyMessage> try_local(const RequestMessage& req,
-                                                const ObjRef& target) {
+  virtual std::optional<ReplyMessage> try_local(const RequestMessage& req) {
     (void)req;
-    (void)target;
     return std::nullopt;
   }
 
-  /// Before the request reaches the wire; may rewrite body/context and
-  /// redirect `target`.
-  virtual void outbound(RequestMessage& req, ObjRef& target) {
-    (void)req;
-    (void)target;
-  }
+  /// The reference calls address instead of the stub's own (load
+  /// balancing's agreed replica group); nullptr keeps the stub's. The call
+  /// holds the pointer until it completes, so a rebind while it is in
+  /// flight cannot free what it addresses.
+  virtual std::shared_ptr<const ObjRef> target() const { return nullptr; }
+
+  /// Before the request reaches the wire; may rewrite body/context.
+  virtual void outbound(RequestMessage& req) { (void)req; }
 
   /// After the reply returns, before the stub unmarshals it.
   virtual void inbound(const RequestMessage& req, ReplyMessage& rep) {
@@ -163,6 +164,23 @@ struct SlotTable {
   }
 };
 
+/// The breaker stage's circuits, one per (endpoint, object key). The
+/// transparent comparator lets admission probe with a (const Address&,
+/// string_view) pair — no key materialization per request.
+using BreakerKey = std::pair<net::Address, std::string>;
+struct BreakerKeyLess {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const noexcept {
+    if (a.first != b.first) return a.first < b.first;
+    return std::string_view(a.second) < std::string_view(b.second);
+  }
+};
+using BreakerMap = std::map<BreakerKey, CircuitBreaker, BreakerKeyLess>;
+/// One breaker with its key. Map nodes never move, so the request a
+/// circuit admitted keeps a pointer to it until its reply or timeout.
+using Circuit = BreakerMap::value_type;
+
 /// Per-invocation record threaded through the client chain. Lives on the
 /// caller's stack (the stub keeps it alive across raise_for_status so the
 /// root span covers reply classification, exactly like the pre-pipeline
@@ -172,29 +190,24 @@ struct ClientRequestInfo {
 
   Orb& orb;
 
-  /// Invocation target; redirected in place by the mediator stage. Null
-  /// for plain-entry walks (invoke_plain), which address an endpoint.
+  /// Invocation target; the mediator stage repoints it at the reference
+  /// its delegate names. Null for plain-entry walks (invoke_plain), which
+  /// address an endpoint.
   const ObjRef* target = nullptr;
-  const net::Address* plain_dest = nullptr;
+  /// Endpoint the QoS router or the wire attempt addresses: the target's,
+  /// or invoke_plain's destination. Only replica selection and failover
+  /// move it, to a profile endpoint inside the target.
+  const net::Address* dest = nullptr;
 
   RequestMessage request;
   ReplyMessage reply;
 
   /// Mediator stage state: the per-invocation delegate, the retained
-  /// request handed to inbound(), and the redirectable target copy.
+  /// request handed to inbound(), and the reference the delegate named,
+  /// held for the whole call.
   ClientDelegate* mediator = nullptr;
   RequestMessage retained;
-  std::optional<ObjRef> redirect;
-
-  /// Replica-selection stage state (naming::ReplicaSelector). The select
-  /// interceptor remembers the original multi-profile target in
-  /// `replica_group` and points the wire at the chosen profile: via
-  /// `replica_dest` (plain targets — no ObjRef copy on the hot path) or
-  /// by rewriting `target` to the materialized `selected` copy (QoS-aware
-  /// targets, which the router addresses through the ObjRef itself).
-  const ObjRef* replica_group = nullptr;
-  std::optional<net::Address> replica_dest;
-  std::optional<ObjRef> selected;
+  std::shared_ptr<const ObjRef> named_target;
 
   /// Retry stage state. `attempt` is 1-based; `retry_engaged` is set iff
   /// an advisor is armed for this invocation.
@@ -202,18 +215,16 @@ struct ClientRequestInfo {
   bool retry_engaged = false;
   sim::TimePoint started = 0;
 
+  /// Breaker stage state: the circuit that admitted the current attempt,
+  /// null while breaking is off.
+  Circuit* circuit = nullptr;
+
   /// Trace stage state: the root client.request span and the per-attempt
   /// retry.attempt span. Inline storage — spans cost no allocation.
   std::optional<trace::SpanScope> root_span;
   std::optional<trace::SpanScope> attempt_span;
 
   SlotTable slots;
-
-  /// Endpoint the terminal wire attempt addresses.
-  const net::Address& wire_dest() const noexcept {
-    if (replica_dest.has_value()) return *replica_dest;
-    return target != nullptr ? target->endpoint : *plain_dest;
-  }
 };
 
 /// Per-invocation record threaded through the ORB's server chain.
@@ -458,25 +469,14 @@ class AttemptTraceClientInterceptor final : public ClientInterceptor {
 /// on_reply_decoded()/on_transport_failure().
 class BreakerClientInterceptor final : public ClientInterceptor {
  public:
-  /// (endpoint, object key) breaker key. The transparent comparator lets
-  /// the admission path probe with a string_view pair — no key
-  /// materialization per request.
-  using BreakerKey = std::pair<net::Address, std::string>;
-  struct BreakerKeyLess {
-    using is_transparent = void;
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const noexcept {
-      if (a.first != b.first) return a.first < b.first;
-      return std::string_view(a.second) < std::string_view(b.second);
-    }
-  };
-
   BreakerClientInterceptor(Orb& orb, OrbStats& stats)
       : orb_(orb), stats_(stats) {}
   const char* name() const noexcept override { return "breaker"; }
   SendAction send_request(ClientRequestInfo& info) override;
 
   bool armed() const noexcept { return config_.has_value(); }
+  /// Drops every circuit: the caller first forgets the pointers its
+  /// pending requests hold (Orb::set_breaker_config).
   void set_config(std::optional<BreakerConfig> config) {
     config_ = config;
     breakers_.clear();
@@ -493,32 +493,29 @@ class BreakerClientInterceptor final : public ClientInterceptor {
                                     std::string_view profile) const;
 
   /// Admission check shared by the chain walk and the async send path.
-  /// Returns false and fills `fast` (a synthesized CIRCUIT_OPEN reply)
-  /// when the circuit rejects the request.
-  bool admit(const net::Address& dest, std::string_view profile,
-             std::uint64_t request_id, ReplyMessage& fast);
-  /// A decoded reply matched to its pending request proves that profile's
-  /// servant live.
-  void on_reply_decoded(const net::Address& from, std::string_view profile);
+  /// Returns the circuit guarding (dest, profile) when it admits the
+  /// request; nullptr, with `fast` filled (a synthesized CIRCUIT_OPEN
+  /// reply), when it rejects it.
+  Circuit* admit(const net::Address& dest, std::string_view profile,
+                 std::uint64_t request_id, ReplyMessage& fast);
+  /// A decoded reply matched to the request `circuit` admitted proves that
+  /// profile's servant live.
+  void on_reply_decoded(Circuit& circuit);
   /// An orphaned (or multicast) reply cannot be attributed to a profile;
   /// it still proves the endpoint reachable, so every breaker at that
   /// endpoint records the success.
   void on_reply_decoded_any(const net::Address& from);
-  /// A timeout charges the breaker guarding (dest, profile).
-  void on_transport_failure(const net::Address& dest,
-                            std::string_view profile);
+  /// A timeout charges the circuit that admitted the request.
+  void on_transport_failure(Circuit& circuit);
 
  private:
-  CircuitBreaker& breaker_for(const net::Address& dest,
-                              std::string_view profile);
-  void note_transition(const net::Address& endpoint,
-                       std::string_view profile, BreakerState from,
+  void note_transition(const BreakerKey& key, BreakerState from,
                        BreakerState to);
 
   Orb& orb_;
   OrbStats& stats_;
   std::optional<BreakerConfig> config_;
-  std::map<BreakerKey, CircuitBreaker, BreakerKeyLess> breakers_;
+  BreakerMap breakers_;
 };
 
 // ---- built-in server interceptors ----

@@ -52,6 +52,12 @@ Orb::~Orb() {
   network_.unbind(endpoint());
 }
 
+void Orb::set_breaker_config(std::optional<BreakerConfig> config) {
+  // The circuits pending requests point at are about to go.
+  for (Pending& pending : pending_.entries()) pending.circuit = nullptr;
+  breaker_ci_.set_config(std::move(config));
+}
+
 ReplyMessage Orb::invoke(const ObjRef& target, RequestMessage req) {
   ClientRequestInfo info{*this};
   info.target = &target;
@@ -64,13 +70,14 @@ void Orb::invoke_with(ClientRequestInfo& info) {
   if (info.target == nullptr || info.target->is_nil()) {
     throw ObjectNotExist("orb: invoke on nil reference");
   }
+  info.dest = &info.target->endpoint;
   info.request.object_key = info.target->object_key;
   client_walk(info, 0);
 }
 
 ReplyMessage Orb::invoke_plain(const net::Address& dest, RequestMessage req) {
   ClientRequestInfo info{*this};
-  info.plain_dest = &dest;
+  info.dest = &dest;
   info.request = std::move(req);
   client_walk(info, client_chain_.first_at_or_above(kClientPlainEntry));
   return std::move(info.reply);
@@ -114,7 +121,7 @@ void Orb::attempt_once(ClientRequestInfo& info) {
   // circuit's single probe.
   std::optional<ReplyMessage> result;
   const std::uint64_t id = wire_send(
-      info.wire_dest(), info.request,
+      *info.dest, info.circuit, info.request,
       [&result](ReplyMessage rep) { result = std::move(rep); },
       /*timeout=*/0);
   run_until([&result] { return result.has_value(); });
@@ -128,39 +135,24 @@ void Orb::attempt_once(ClientRequestInfo& info) {
 }
 
 void Orb::add_pending(std::uint64_t id, ReplyHandler on_reply,
-                      sim::Duration timeout, bool multi,
-                      const net::Address& dest, const std::string& profile) {
+                      sim::Duration timeout, bool multi, Circuit* circuit) {
   Pending pending;
   pending.id = id;
   pending.multi = multi;
   pending.on_reply = std::move(on_reply);
-  // Only copy the endpoint/profile when a breaker will want them charged
-  // on timeout; keeping the strings empty preserves the allocation-free
-  // pending entry on the default path.
-  if (breaker_ci_.armed() && !multi) {
-    pending.dest = dest;
-    pending.profile = profile;
-  }
+  pending.circuit = circuit;
   pending.timeout_event = loop().schedule(timeout, [this, id] {
     Pending* it = pending_.find(id);
     if (it == nullptr) return;
     ++stats_.timeouts;
     auto callback = std::move(it->on_reply);
-    net::Address failed_dest;
-    std::string failed_profile;
-    const bool charge_breaker = breaker_ci_.armed() && !it->dest.node.empty();
-    if (charge_breaker) {
-      failed_dest = std::move(it->dest);
-      failed_profile = std::move(it->profile);
-    }
+    Circuit* failed = it->circuit;
     // The timeout event is firing right now, so there is nothing stale to
     // cancel: remove without touching the event.
     pending_.erase(it);
     // Charge the breaker before the callback runs, so an immediate retry
     // from inside the callback sees the updated circuit state.
-    if (charge_breaker) {
-      breaker_ci_.on_transport_failure(failed_dest, failed_profile);
-    }
+    if (failed != nullptr) breaker_ci_.on_transport_failure(*failed);
     ReplyMessage timeout_reply;
     timeout_reply.request_id = id;
     timeout_reply.status = ReplyStatus::kSystemException;
@@ -176,13 +168,12 @@ void Orb::erase_pending(Pending* pending) {
   pending_.erase(pending);
 }
 
-std::uint64_t Orb::wire_send(const net::Address& dest,
+std::uint64_t Orb::wire_send(const net::Address& dest, Circuit* circuit,
                              const RequestMessage& req, ReplyHandler on_reply,
                              sim::Duration timeout) {
   if (timeout <= 0) timeout = default_timeout_;
   const std::uint64_t id = req.request_id;
-  add_pending(id, std::move(on_reply), timeout, /*multi=*/false, dest,
-              req.object_key);
+  add_pending(id, std::move(on_reply), timeout, /*multi=*/false, circuit);
   ++stats_.requests_sent;
   util::Bytes wire = req.encode();
   stats_.bytes_marshaled_out += wire.size();
@@ -201,16 +192,18 @@ std::uint64_t Orb::send_request(const net::Address& dest, RequestMessage req,
                                 ReplyHandler on_reply, sim::Duration timeout) {
   if (req.request_id == 0) req.request_id = next_request_id();
   const std::uint64_t id = req.request_id;
+  Circuit* circuit = nullptr;
   if (breaker_ci_.armed()) {
     // Fail fast: deliver the synthesized rejection inline (before this
     // call returns) instead of arming a doomed timeout.
     ReplyMessage fast;
-    if (!breaker_ci_.admit(dest, req.object_key, id, fast)) {
+    circuit = breaker_ci_.admit(dest, req.object_key, id, fast);
+    if (circuit == nullptr) {
       on_reply(std::move(fast));
       return id;
     }
   }
-  return wire_send(dest, req, std::move(on_reply), timeout);
+  return wire_send(dest, circuit, req, std::move(on_reply), timeout);
 }
 
 std::uint64_t Orb::send_multicast_request(const std::string& group,
@@ -222,7 +215,7 @@ std::uint64_t Orb::send_multicast_request(const std::string& group,
   const std::uint64_t id = req.request_id;
 
   add_pending(id, std::move(on_reply), timeout, /*multi=*/true,
-              net::Address{}, std::string{});
+              /*circuit=*/nullptr);
   ++stats_.requests_sent;
   util::Bytes wire = req.encode();
   stats_.bytes_marshaled_out += wire.size();
@@ -384,8 +377,8 @@ void Orb::handle_reply(const net::Address& from, ReplyMessage rep) {
   // the circuit rather than leaving it needlessly open.
   Pending* it = pending_.find(rep.request_id);
   if (breaker_ci_.armed()) {
-    if (it != nullptr && !it->multi && !it->dest.node.empty()) {
-      breaker_ci_.on_reply_decoded(from, it->profile);
+    if (it != nullptr && it->circuit != nullptr) {
+      breaker_ci_.on_reply_decoded(*it->circuit);
     } else {
       breaker_ci_.on_reply_decoded_any(from);
     }

@@ -53,8 +53,9 @@ class RequestRouter {
  public:
   virtual ~RequestRouter() = default;
 
-  /// Client side: deliver a QoS-aware service request and return the reply.
-  virtual ReplyMessage route(const ObjRef& target, RequestMessage req) = 0;
+  /// Client side: deliver a QoS-aware service request to `dest`, the
+  /// endpoint of the profile it addresses, and return the reply.
+  virtual ReplyMessage route(const net::Address& dest, RequestMessage req) = 0;
 
   /// Server side, before adapter dispatch. May rewrite the request (e.g.
   /// decrypt/decompress the body). Returning a reply short-circuits
@@ -117,9 +118,7 @@ class Orb {
 
   /// Enables per-endpoint circuit breaking on the outgoing request path
   /// (nullopt, the default, disables it and drops all breaker state).
-  void set_breaker_config(std::optional<BreakerConfig> config) {
-    breaker_ci_.set_config(std::move(config));
-  }
+  void set_breaker_config(std::optional<BreakerConfig> config);
   const std::optional<BreakerConfig>& breaker_config() const noexcept {
     return breaker_ci_.config();
   }
@@ -273,27 +272,28 @@ class Orb {
   /// Admission (breaker) already happened in the chain; this never
   /// re-checks it (a half-open circuit admits exactly one probe).
   void attempt_once(ClientRequestInfo& info);
-  /// Encode + pending entry + network send (no breaker admission).
-  std::uint64_t wire_send(const net::Address& dest, const RequestMessage& req,
-                          ReplyHandler on_reply, sim::Duration timeout);
+  /// Encode + pending entry + network send. Admission already happened:
+  /// `circuit` is the breaker that admitted the request (null while
+  /// breaking is off).
+  std::uint64_t wire_send(const net::Address& dest, Circuit* circuit,
+                          const RequestMessage& req, ReplyHandler on_reply,
+                          sim::Duration timeout);
 
   struct Pending {
     std::uint64_t id = 0;
     ReplyHandler on_reply;
     sim::EventId timeout_event = 0;
     bool multi = false;
-    /// Destination and addressed profile (object key), recorded only while
-    /// circuit breaking is enabled (and never for multicast) so the
-    /// timeout and the matched reply can charge/credit the right breaker.
-    net::Address dest;
-    std::string profile;
+    /// The circuit that admitted the request, so the timeout and the
+    /// matched reply charge/credit it directly; null for multicast and
+    /// while breaking is off.
+    Circuit* circuit = nullptr;
   };
 
   /// Registers a pending entry with its timeout; shared by wire_send and
-  /// send_multicast_request. `dest`/`profile` may be empty (multicast).
+  /// send_multicast_request.
   void add_pending(std::uint64_t id, ReplyHandler on_reply,
-                   sim::Duration timeout, bool multi, const net::Address& dest,
-                   const std::string& profile);
+                   sim::Duration timeout, bool multi, Circuit* circuit);
   /// Erases a pending entry, always cancelling its timeout event first so
   /// no stale timeout can fire for a completed/cancelled request. (The
   /// timeout path, whose event is already firing, erases directly.)

@@ -53,6 +53,8 @@ class PendingTable {
 
   std::size_t size() const noexcept { return entries_.size(); }
   const std::vector<Entry>& entries() const noexcept { return entries_; }
+  /// Mutable view for fields other than the indexed id.
+  std::vector<Entry>& entries() noexcept { return entries_; }
 
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);

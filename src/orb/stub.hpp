@@ -10,8 +10,10 @@
 // per-invocation ClientRequestInfo record and hands it to the ORB's
 // interceptor pipeline. The installed ClientDelegate (maqs::core::Mediator
 // derives from it) is consumed by the pipeline's mediator stage; it may
-// rewrite the request, redirect the target (load balancing), or answer
-// locally (actuality cache) without touching application code.
+// rewrite the request, name another reference the call addresses (load
+// balancing's replica group, which the stage points the call at without
+// copying this stub's reference), or answer locally (actuality cache)
+// without touching application code.
 #pragma once
 
 #include <memory>

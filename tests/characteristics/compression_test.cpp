@@ -103,8 +103,7 @@ TEST_F(CompressionTest, MediatorReportsCompressionRatio) {
 
   orb::RequestMessage req;
   req.body = compressible(10000);
-  orb::ObjRef target;
-  composite.outbound(req, target);
+  composite.outbound(req);
   EXPECT_LT(mediator->compression_ratio(), 0.5);
   EXPECT_EQ(
       mediator->qos_operation("qos_compression_ratio", {}).as_double(),
@@ -122,8 +121,7 @@ TEST_F(CompressionTest, SmallPayloadsShipRaw) {
   composite.add(mediator);
   orb::RequestMessage req;
   req.body = util::to_bytes("tiny");
-  orb::ObjRef target;
-  composite.outbound(req, target);
+  composite.outbound(req);
   EXPECT_EQ(req.body.size(), 5u);  // marker + 4 raw bytes
   EXPECT_EQ(req.body[0], 0x00);
 }
@@ -141,8 +139,7 @@ TEST_F(CompressionTest, IncompressiblePayloadsShipRaw) {
   for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next());
   orb::RequestMessage req;
   req.body = noise;
-  orb::ObjRef target;
-  composite.outbound(req, target);
+  composite.outbound(req);
   EXPECT_EQ(req.body.size(), noise.size() + 1);  // bounded expansion
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 
 #include "core/negotiation.hpp"
@@ -210,6 +211,63 @@ TEST_F(LoadBalancingTest, FullNegotiationInstallsBalancer) {
   for (int i = 0; i < 10; ++i) stub.echo("x");
   EXPECT_EQ(servants_[0]->calls, 5);
   EXPECT_EQ(servants_[1]->calls, 5);
+}
+
+/// An echo servant that runs `hook` inside each call it serves.
+class HookedEcho final : public maqs::testing::EchoImpl {
+ public:
+  std::string echo(const std::string& s) override {
+    if (hook) hook();
+    return EchoImpl::echo(s);
+  }
+  std::function<void()> hook;
+};
+
+TEST_F(LoadBalancingTest, GroupReboundMidCallKeepsTheCallOnItsGroup) {
+  start_workers(4);
+  naming::SelectorConfig config;
+  config.failover_on_timeout = true;
+  naming::ReplicaSelector& selector = arm_selector(config);
+  client_.set_default_timeout(50 * sim::kMillisecond);
+  auto agreement_for = [this](std::size_t first) {
+    orb::ObjRef group = refs_[first];
+    const orb::ObjRef& second = refs_[first + 1];
+    group.alternates.push_back(
+        orb::AltProfile{second.endpoint, second.object_key});
+    core::Agreement agreement;
+    agreement.characteristic = loadbalancing_name();
+    agreement.params = loadbalancing_descriptor().validate_params(
+        {{"replicas", cdr::Any::from_string(group.to_string())}});
+    return agreement;
+  };
+  auto mediator = std::make_shared<LoadBalancingMediator>();
+  mediator->bind_agreement(agreement_for(0));  // workers 0 and 1
+  auto composite = std::make_shared<core::CompositeMediator>();
+  composite->add(mediator);
+  EchoStub stub(client_, refs_.front());
+  stub.set_mediator(composite);
+
+  // Worker 0 serves the first call, rebinds the agreement to workers 2
+  // and 3 meanwhile (a renegotiation pumped from inside the call) and
+  // crashes, so the reply is lost: the call times out and fails over
+  // below the mediator, to the other profile of the group it started on.
+  auto hooked = std::make_shared<HookedEcho>();
+  workers_[0]->adapter().deactivate("worker");
+  workers_[0]->adapter().activate("worker", hooked);
+  hooked->hook = [&] {
+    composite->rebind(loadbalancing_name(), agreement_for(2));
+    net_.crash("w0");
+  };
+  EXPECT_EQ(stub.echo("x"), "x");
+  EXPECT_EQ(hooked->calls, 1);
+  EXPECT_EQ(selector.stats().failovers, 1u);
+  EXPECT_EQ(servants_[1]->calls, 1);
+  EXPECT_EQ(servants_[2]->calls + servants_[3]->calls, 0);
+
+  // The next call addresses the rebound group.
+  EXPECT_EQ(stub.echo("y"), "y");
+  EXPECT_EQ(servants_[1]->calls, 1);
+  EXPECT_EQ(servants_[2]->calls + servants_[3]->calls, 1);
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ class TaggingMediator : public Mediator {
  public:
   TaggingMediator(const std::string& name, std::uint8_t tag)
       : Mediator(name), tag_(tag) {}
-  void outbound(orb::RequestMessage& req, orb::ObjRef&) override {
+  void outbound(orb::RequestMessage& req) override {
     req.body.insert(req.body.begin(), tag_);
   }
   void inbound(const orb::RequestMessage&, orb::ReplyMessage& rep) override {

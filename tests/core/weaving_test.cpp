@@ -263,7 +263,7 @@ class TaggingMediator : public Mediator {
   TaggingMediator(std::string name, std::vector<std::string>& trace)
       : Mediator(std::move(name)), trace_(trace) {}
 
-  void outbound(orb::RequestMessage& req, orb::ObjRef&) override {
+  void outbound(orb::RequestMessage& req) override {
     trace_.push_back("out:" + characteristic());
     req.body.push_back(0xFF);  // visible payload change
   }
@@ -292,8 +292,7 @@ TEST_F(WeavingTest, CompositeMediatorOrdering) {
   composite.add(std::make_shared<TaggingMediator>("A", trace_));
   composite.add(std::make_shared<TaggingMediator>("B", trace_));
   orb::RequestMessage req;
-  orb::ObjRef target;
-  composite.outbound(req, target);
+  composite.outbound(req);
   orb::ReplyMessage rep;
   composite.inbound(req, rep);
   // Outbound in order, inbound reversed.

@@ -3,6 +3,7 @@
 // failover on synthesized faults.
 #include <gtest/gtest.h>
 
+#include "core/qos_transport.hpp"
 #include "support/replica_world.hpp"
 #include "trace/trace.hpp"
 
@@ -189,6 +190,64 @@ TEST(SelectorTest, SelectionAndFailoverEmitTraceSpans) {
   }
   EXPECT_TRUE(saw_select);
   EXPECT_TRUE(saw_failover);
+}
+
+/// A transport module that keeps the default QosModule::invoke (send to
+/// the endpoint it is handed) and records the object key of every request
+/// it transforms.
+class KeyRecordingModule final : public core::QosModule {
+ public:
+  static constexpr const char* kName = "selector-test-recorder";
+  static std::vector<std::string>& keys() {
+    static std::vector<std::string> recorded;
+    return recorded;
+  }
+  KeyRecordingModule() : core::QosModule(kName) {}
+  void transform_request(orb::RequestMessage& req) override {
+    keys().push_back(req.object_key);
+  }
+};
+
+TEST(SelectorTest, QosAwareGroupRoutesEachCallToTheChosenProfile) {
+  auto& registry = core::ModuleFactoryRegistry::instance();
+  if (!registry.contains(KeyRecordingModule::kName)) {
+    registry.register_factory(KeyRecordingModule::kName, [] {
+      return std::make_unique<KeyRecordingModule>();
+    });
+  }
+  KeyRecordingModule::keys().clear();
+  ReplicaWorld world(3);
+  world.register_all();
+  // Shaped like ReplicaGroup::group_reference(): a QoS tag naming the
+  // module, every replica a profile (here each under its own key).
+  orb::ObjRef group = world.lookup();
+  ASSERT_EQ(group.profile_count(), 3u);
+  orb::QosProfile tag;
+  tag.characteristic = "KeyRecording";
+  tag.properties = {{"module", KeyRecordingModule::kName}};
+  group.qos = {tag};
+  core::QosTransport transport(world.client);
+  for (std::size_t i = 0; i < group.profile_count(); ++i) {
+    transport.assign(group.profile(i).object_key, KeyRecordingModule::kName);
+  }
+
+  EchoStub stub(world.client, group);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(stub.echo("m"), "m");
+  }
+  // Round-robin rotates over the profiles; each call carries the chosen
+  // profile's key, and reached it only because the module was handed that
+  // profile's endpoint (every replica serves its own key alone).
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < 6; ++i) {
+    expected.push_back(group.profile(i % 3).object_key);
+  }
+  EXPECT_EQ(KeyRecordingModule::keys(), expected);
+  EXPECT_EQ(transport.stats().requests_via_module, 6u);
+  EXPECT_EQ(world.selector.stats().selections, 6u);
+  for (const auto& replica : world.replicas) {
+    EXPECT_EQ(replica.servant->calls, 2) << replica.object_key;
+  }
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ class EdgeTest : public ::testing::Test {
 /// system exception, not die.
 class ThrowingRouter : public RequestRouter {
  public:
-  ReplyMessage route(const ObjRef&, RequestMessage) override {
+  ReplyMessage route(const net::Address&, RequestMessage) override {
     throw SystemException("router: route exploded");
   }
   std::optional<ReplyMessage> inbound(RequestMessage&,

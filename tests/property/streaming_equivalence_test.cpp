@@ -348,7 +348,7 @@ INSTANTIATE_TEST_SUITE_P(
 class PassThroughMediator final : public core::Mediator {
  public:
   PassThroughMediator() : core::Mediator("PassThrough") {}
-  void outbound(orb::RequestMessage&, orb::ObjRef&) override {}
+  void outbound(orb::RequestMessage&) override {}
   void inbound(const orb::RequestMessage&, orb::ReplyMessage&) override {}
 };
 
@@ -409,8 +409,7 @@ TEST(StreamingEquivalenceTest, CompositeMatchesLegacyFrames) {
       orb::RequestMessage req;
       req.request_id = 1000 + static_cast<std::uint64_t>(i);
       req.body = payload;
-      orb::ObjRef target;
-      composite->outbound(req, target);
+      composite->outbound(req);
       ASSERT_EQ(req.body, legacy_seal(payload, req.request_id, false))
           << "pass_through=" << pass_through << " i=" << i;
 

@@ -67,13 +67,13 @@ class FlakyModule final : public core::QosModule {
       : core::QosModule(flaky_module_name()), state_(std::move(state)) {}
 
   orb::ReplyMessage invoke(orb::RequestMessage req,
-                           const orb::ObjRef& target) override {
+                           const net::Address& dest) override {
     ++state_->invocations;
     if (state_->failing) {
       ++state_->failures;
       throw core::QosError("chaos: injected module failure");
     }
-    return core::QosModule::invoke(std::move(req), target);
+    return core::QosModule::invoke(std::move(req), dest);
   }
 
  private:
