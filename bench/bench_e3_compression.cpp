@@ -73,7 +73,7 @@ int main() {
   std::printf("%12s | %10s %10s %14s | %s\n", "bandwidth", "plain ms",
               "comp ms", "comp+codec ms", "winner");
   row_rule();
-  for (double bw : {32e3, 64e3, 256e3, 1e6, 10e6, 100e6, 1e9}) {
+  for (double bw : {32e3, 64e3, 256e3, 1e6, 10e6, 100e6, 1e9, 10e9, 100e9}) {
     const double plain = transfer_ms(bw, data, false);
     const double comp = transfer_ms(bw, data, true);
     const double effective = comp + codec_ms;

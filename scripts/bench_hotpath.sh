@@ -20,7 +20,7 @@ cmake --build build-release -j "$(nproc)" --target maqs_bench
 ./build-release/bench/bench_f3_dispatch
 
 # Hard gate: the streaming pipeline's allocation budget (plain add <= 1,
-# woven add <= 3 allocs/request) and throughput floors (woven blob4k
+# woven add <= 1 allocs/request) and throughput floors (woven blob4k
 # >= 100k req/s). Fails the run on regression.
 ./scripts/check_alloc_budget.sh BENCH_hotpath.json
 

@@ -29,13 +29,15 @@ BUDGETS = {
     ("plain", "add"): 1.0,
     ("plain", "blob4k"): 8.0,
     ("plain_replicated", "add"): 8.0,
-    # The full compress+encrypt weave: steady state 1 (the mediator stage
-    # points at the call's target instead of copying it).
-    ("woven_streaming", "add"): 3.0,
+    # The full compress+encrypt weave: steady state 0 (the mediator stage
+    # points at the call's target instead of copying it, and the routed
+    # call's argument buffer goes back to the pool), the same headroom as
+    # plain/add.
+    ("woven_streaming", "add"): 1.0,
     # Steady state after a renegotiated lattice step (lz77 -> rle on the
     # fused channel): rebinding under the bumped channel version must not
     # add per-request heap traffic over the first binding.
-    ("woven_renegotiated", "add"): 3.0,
+    ("woven_renegotiated", "add"): 1.0,
     # Edge gateway rows: one keep-alive HTTP round trip including JSON
     # (or MTOM multipart) translation and the DII bridge. Tracked steady
     # state is 4/6/8 allocs/request; the budgets, set when it was 5/7/9,

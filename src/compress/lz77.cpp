@@ -6,6 +6,12 @@
 #include <limits>
 #include <vector>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
+#include "compress/lz77_kernels.hpp"
+
 namespace maqs::compress {
 
 namespace {
@@ -27,10 +33,19 @@ constexpr std::size_t kMaxInsert = 8;
 // probes are the bulk of the search cost.
 constexpr std::size_t kGoodEnough = 64;
 
-/// Length of the common prefix of a and b, capped at limit (word-wise).
-std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
-                         std::size_t limit) noexcept {
-  std::size_t len = 0;
+// ---- match-extension kernels ----
+//
+// A match on a redundant payload runs for hundreds of bytes, so the AVX2
+// kernel compares 32 bytes from each side per step, bytewise into a bit
+// mask whose first clear bit is the first difference; the portable
+// kernel's 8-byte words finish the tail, so no load crosses `limit`. The
+// AVX2 kernel is compiled for its ISA by a target attribute and picked at
+// run time, as XTEA's block kernels are.
+
+/// Extends a common prefix of length `len` to its end, capped at limit:
+/// 8-byte words, then bytes.
+std::size_t extend8(const std::uint8_t* a, const std::uint8_t* b,
+                    std::size_t len, std::size_t limit) noexcept {
   if constexpr (std::endian::native == std::endian::little) {
     while (len + 8 <= limit) {
       std::uint64_t wa;
@@ -48,11 +63,59 @@ std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
   return len;
 }
 
+std::size_t match_length_portable(const std::uint8_t* a, const std::uint8_t* b,
+                                  std::size_t limit) noexcept {
+  return extend8(a, b, 0, limit);
+}
+
+bool always() noexcept { return true; }
+
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target("avx2"))) std::size_t match_length_avx2(
+    const std::uint8_t* a, const std::uint8_t* b, std::size_t limit) noexcept {
+  std::size_t len = 0;
+  while (len + 32 <= limit) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + len));
+    const __m256i vb =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + len));
+    const auto eq =
+        static_cast<unsigned>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
+    if (eq != 0xFFFFFFFFu) {
+      return len + static_cast<std::size_t>(std::countr_one(eq));
+    }
+    len += 32;
+  }
+  return extend8(a, b, len, limit);
+}
+
+bool has_avx2() noexcept { return __builtin_cpu_supports("avx2") != 0; }
+#endif
+
+constexpr detail::MatchKernel kKernels[] = {
+#if defined(__x86_64__) && defined(__GNUC__)
+    {"avx2", match_length_avx2, has_avx2},
+#endif
+    {"portable", match_length_portable, always},
+};
+
+detail::MatchLengthFn pick_match_length() noexcept {
+  for (const detail::MatchKernel& kernel : kKernels) {
+    if (kernel.supported()) return kernel.run;
+  }
+  return match_length_portable;
+}
+
+const detail::MatchLengthFn g_match_length = pick_match_length();
+
+/// hash3 of p[0, 3) from one 4-byte load; p[3] must be readable.
 std::uint32_t hash3(const std::uint8_t* p) noexcept {
-  const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
-                          (static_cast<std::uint32_t>(p[1]) << 8) |
-                          (static_cast<std::uint32_t>(p[2]) << 16);
-  return (v * 2654435761u) >> (32 - kHashBits);
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, 4);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return ((v & 0xFFFFFFu) * 2654435761u) >> (32 - kHashBits);
 }
 
 void put_u16(std::uint8_t* p, std::uint16_t v) noexcept {
@@ -94,6 +157,10 @@ std::size_t write_stored(util::BytesView input, std::uint8_t* out) {
 }
 }  // namespace
 
+std::span<const detail::MatchKernel> detail::match_kernels() noexcept {
+  return kKernels;
+}
+
 const std::string& Lz77Codec::name() const {
   static const std::string kName = "lz77";
   return kName;
@@ -123,6 +190,7 @@ std::size_t Lz77Codec::compress_into(util::BytesView input,
 std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
                                     std::size_t cap) const {
   const std::size_t n = input.size();
+  const std::uint8_t* const src = input.data();
 
   MatchTables& tables = match_tables();
   if (tables.head.empty()) {
@@ -139,6 +207,7 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
   tables.next_base = base + static_cast<std::uint32_t>(n) + 1;
   std::uint32_t* const head = tables.head.data();
   std::uint32_t* const chain = tables.chain.data();
+  const detail::MatchLengthFn match_length = g_match_length;
 
   std::size_t w = 0;
   // Emits input[begin, end) as literal runs; false when out of room.
@@ -149,23 +218,41 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
       out[w++] = 0x00;
       put_u16(out + w, static_cast<std::uint16_t>(chunk));
       w += 2;
-      std::memcpy(out + w, input.data() + begin, chunk);
+      std::memcpy(out + w, src + begin, chunk);
       w += chunk;
       begin += chunk;
     }
     return true;
   };
+  // Puts position p at the head of its bucket; returns the previous head.
+  // head/chain store positions + 1; values <= base are stale leftovers
+  // from earlier inputs and read like a null.
+  auto insert = [&](std::size_t p) noexcept -> std::uint32_t {
+    const std::uint32_t h = hash3(src + p);
+    const std::uint32_t previous = head[h];
+    chain[(base + p) % kChainSize] = previous;
+    head[h] = base + static_cast<std::uint32_t>(p) + 1;
+    return previous;
+  };
 
+  // Positions below scan_end have the kMinMatch bytes a match needs.
+  const std::size_t scan_end = n >= kMinMatch ? n - kMinMatch + 1 : 0;
   std::size_t literal_start = 0;
   std::size_t i = 0;
-  while (i + kMinMatch <= n) {
-    const std::uint32_t h = hash3(input.data() + i);
+  while (i < scan_end) {
+    // The literal scan. A position enters its bucket before its probe,
+    // which starts from the previous head: the walk could reach i's own
+    // chain slot only through a candidate 64 KiB back, and the window
+    // check stops it first. So the probe runs only where the bucket holds
+    // a candidate inside the window.
+    std::uint32_t candidate = insert(i);
+    if (candidate <= base || i - (candidate - 1 - base) > kWindow) {
+      ++i;
+      continue;
+    }
+
     std::size_t best_len = 0;
     std::size_t best_off = 0;
-
-    // head/chain store positions + 1; values <= base are stale leftovers
-    // from earlier inputs and terminate the probe like a null.
-    std::uint32_t candidate = head[h];
     int probes = max_probes_;
     const std::size_t limit = std::min(n - i, kMaxMatch);
     while (candidate > base && probes-- > 0) {
@@ -174,9 +261,8 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
       // A candidate can only beat best_len if it also matches at index
       // best_len; checking that one byte first skips the extension for
       // most losing candidates without changing the outcome.
-      if (best_len == 0 || input[pos + best_len] == input[i + best_len]) {
-        const std::size_t len =
-            match_length(input.data() + pos, input.data() + i, limit);
+      if (best_len == 0 || src[pos + best_len] == src[i + best_len]) {
+        const std::size_t len = match_length(src + pos, src + i, limit);
         if (len > best_len) {
           best_len = len;
           best_off = i - pos;
@@ -190,31 +276,25 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
       if (next > base && next - 1 - base >= pos) break;
       candidate = next;
     }
-
-    if (best_len >= kMinMatch) {
-      if (!flush_literals(literal_start, i)) return cap;
-      if (cap - w < 5) return cap;
-      out[w++] = 0x01;
-      put_u16(out + w, static_cast<std::uint16_t>(best_off));
-      put_u16(out + w + 2, static_cast<std::uint16_t>(best_len));
-      w += 4;
-      // Insert hash anchors for the leading covered positions so later
-      // matches can reference into this one (bounded per match).
-      const std::size_t match_end = i + best_len;
-      const std::size_t insert_end = std::min(match_end, i + kMaxInsert);
-      while (i < insert_end && i + kMinMatch <= n) {
-        const std::uint32_t hh = hash3(input.data() + i);
-        chain[(base + i) % kChainSize] = head[hh];
-        head[hh] = base + static_cast<std::uint32_t>(i) + 1;
-        ++i;
-      }
-      i = match_end;
-      literal_start = i;
-    } else {
-      chain[(base + i) % kChainSize] = head[h];
-      head[h] = base + static_cast<std::uint32_t>(i) + 1;
+    if (best_len < kMinMatch) {
       ++i;
+      continue;
     }
+
+    if (!flush_literals(literal_start, i)) return cap;
+    if (cap - w < 5) return cap;
+    out[w++] = 0x01;
+    put_u16(out + w, static_cast<std::uint16_t>(best_off));
+    put_u16(out + w + 2, static_cast<std::uint16_t>(best_len));
+    w += 4;
+    // Hash anchors for the leading covered positions (i itself is in
+    // already) so later matches can reference into this one.
+    const std::size_t match_end = i + best_len;
+    const std::size_t insert_end =
+        std::min({match_end, i + kMaxInsert, scan_end});
+    for (std::size_t p = i + 1; p < insert_end; ++p) insert(p);
+    i = match_end;
+    literal_start = i;
   }
   if (!flush_literals(literal_start, n)) return cap;
   return w;

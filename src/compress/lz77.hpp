@@ -7,6 +7,20 @@
 // Window size 64 KiB (offset is u16). Greedy parse; match finder keeps
 // hash chains over 3-byte prefixes, bounded probe depth.
 //
+// The match finder pays per token, not per position:
+//  - One literal scan. Each position enters its hash bucket (head/chain)
+//    and only then is probed, from the bucket's previous head; a position
+//    whose previous head is empty, stale or out of the window costs just
+//    that insert. Inserting first changes no stream: the probe could reach
+//    the position's own chain slot only through a candidate 64 KiB back,
+//    which the window check stops first.
+//  - The 3-byte hash comes from one 4-byte load masked to 24 bits; every
+//    scanned position has the kMinMatch (4) bytes a match needs.
+//  - Matches extend through the first kernel of a short list the host can
+//    run (lz77_kernels.hpp), picked once at start-up as XTEA's block
+//    kernels are: AVX2 compares 32 bytes per step through a byte-compare
+//    mask, and the portable last entry compares 8-byte words.
+//
 // Worst-case expansion is bounded: whenever the greedy token stream would
 // reach the stored form's size, compress emits the stored form instead
 // (pure literal runs), so output never exceeds n + 3 * ceil(n / 65535)

@@ -80,6 +80,10 @@ ReplyMessage Orb::invoke_plain(const net::Address& dest, RequestMessage req) {
   info.dest = &dest;
   info.request = std::move(req);
   client_walk(info, client_chain_.first_at_or_above(kClientPlainEntry));
+  // A QoS-routed call moved its request in here, so the stub's release
+  // finds an empty body: recycle the argument buffer before it dies with
+  // this record.
+  util::BufferPool::instance().release(std::move(info.request.body));
   return std::move(info.reply);
 }
 

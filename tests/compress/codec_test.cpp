@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "compress/lz77.hpp"
+#include "compress/lz77_kernels.hpp"
 #include "compress/rle.hpp"
 #include "util/rng.hpp"
 
@@ -255,6 +256,42 @@ TEST(Lz77, IncompressibleInputStaysWithinStoredForm) {
   const Bytes packed = codec.compress(noise);
   EXPECT_LE(packed.size(), codec.max_compressed_size(noise.size()));
   EXPECT_EQ(codec.decompress(packed), noise);
+}
+
+TEST(Lz77, EveryRunnableMatchKernelAgreesWithScalar) {
+  // The codec runs only the best kernel this host supports; this runs each
+  // of them at every common-prefix length up to every limit from 0 to 100,
+  // so each side of the 8- and 32-byte steps and the byte tail after them
+  // is covered.
+  util::Rng rng(24);
+  int ran = 0;
+  for (const detail::MatchKernel& kernel : detail::match_kernels()) {
+    if (!kernel.supported()) continue;
+    ++ran;
+    for (std::size_t limit = 0; limit <= 100; ++limit) {
+      for (std::size_t prefix = 0; prefix <= limit; ++prefix) {
+        // Exact-size buffers: ASan flags a read at or past either limit.
+        Bytes a(limit);
+        for (auto& b : a) b = static_cast<std::uint8_t>(rng.next());
+        Bytes b = a;
+        if (prefix < limit) {
+          b[prefix] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+        }
+        // Bytes after the first difference must not matter.
+        for (std::size_t k = prefix + 1; k < limit; ++k) {
+          if (rng.chance(0.5)) b[k] = static_cast<std::uint8_t>(rng.next());
+        }
+        std::size_t scalar = 0;
+        while (scalar < limit && a[scalar] == b[scalar]) ++scalar;
+        ASSERT_EQ(scalar, prefix);
+        EXPECT_EQ(kernel.run(a.data(), b.data(), limit), scalar)
+            << kernel.name << " limit " << limit;
+      }
+    }
+  }
+  // The last kernel in the list is the one every host can run.
+  EXPECT_GE(ran, 1);
+  EXPECT_TRUE(detail::match_kernels().back().supported());
 }
 
 TEST(Factory, UnknownNameThrows) {

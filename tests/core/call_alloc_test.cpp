@@ -4,9 +4,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/mediator.hpp"
+#include "core/qos_transport.hpp"
 #include "net/network.hpp"
 #include "support/echo.hpp"
 #include "support/heap_meter.hpp"
@@ -15,16 +18,21 @@ namespace maqs::testing {
 namespace {
 
 /// Allocations of 64 warm `add` calls on an Echo servant activated under
-/// `key`, after `arm` configured the client ORB and the stub.
+/// `key`, after `arm` configured the client ORB and the stub. A reference
+/// with `qos` profiles is QoS-aware, and the client then gets a
+/// QosTransport.
 template <typename Arm>
-std::uint64_t allocations_of_adds(const std::string& key, Arm arm) {
+std::uint64_t allocations_of_adds(const std::string& key, Arm arm,
+                                  std::vector<orb::QosProfile> qos = {}) {
   constexpr int kCalls = 64;
   sim::EventLoop loop;
   net::Network net(loop);
   orb::Orb server(net, "server", 9000);
   orb::Orb client(net, "client", 9001);
-  EchoStub stub(client,
-                server.adapter().activate(key, std::make_shared<EchoImpl>()));
+  std::optional<core::QosTransport> transport;
+  if (!qos.empty()) transport.emplace(client);
+  EchoStub stub(client, server.adapter().activate(
+                            key, std::make_shared<EchoImpl>(), std::move(qos)));
   arm(client, stub);
   // Warm every pool and table the call path grows.
   for (int i = 0; i < kCalls; ++i) stub.add(i, 1);
@@ -57,6 +65,15 @@ TEST(CallAllocTest, EmptyCompositeMediatorCostsNoAllocation) {
         stub.set_mediator(std::make_shared<core::CompositeMediator>());
       });
   EXPECT_EQ(woven, bare);
+}
+
+TEST(CallAllocTest, QosRoutedCallRecyclesItsArgumentBuffer) {
+  // No module serves the characteristic, so qos.route hands the call to
+  // the client's QosTransport, which sends it through Orb::invoke_plain;
+  // the argument buffer must still go back to the pool.
+  orb::QosProfile unassigned;
+  unassigned.characteristic = "Unassigned";
+  EXPECT_EQ(allocations_of_adds("echo", leave_unarmed, {unassigned}), 0u);
 }
 
 }  // namespace
